@@ -17,8 +17,7 @@ from ifsbound import (
     CircumcircleError,
     IfsSystem,
     Similitude2,
-    circumcircle_bifractal,
-    circumcircle_trifractal,
+    circumcircle,
     general_bounding_ball,
 )
 
@@ -41,9 +40,7 @@ def survey(n, count, seed):
         attempts += 1
         ifs = random_system(rng, n)
         try:
-            circ = (
-                circumcircle_bifractal(ifs) if n == 2 else circumcircle_trifractal(ifs)
-            )
+            circ = circumcircle(ifs)
         except CircumcircleError:
             continue
         if circ.ball.r == 0.0:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -173,8 +173,10 @@ def general_bounding_ball(ifs: IfsSystem, center: str = "optimal") -> BoundRepor
 
     def candidates():
         if center in ("optimal", "best"):
+            # scored by radius_function like the other candidates, so that
+            # ties (two fixed points: every center is the midpoint) go here
             ball, _ = min_ball(ifs.fixed_points)
-            yield "general", ball.c, ball.r
+            yield "general", ball.c, radius_function(ifs, ball.c)
         if center in ("arithmetic", "best", "harmonic"):
             c_a, c_h = mean_centers(ifs)
             if center in ("arithmetic", "best"):
@@ -320,6 +322,16 @@ def circumcircle_bifractal(ifs: IfsSystem) -> BoundReport:
     return _report(ifs, Ball(c, r), "circum_bi")
 
 
+def circumcircle(ifs: IfsSystem) -> BoundReport:
+    """Circumcircle of a plane system: bifractal for two maps, trifractal
+    for three.  Raises :class:`CircumcircleError` for any other system."""
+    if ifs.dim != 2 or ifs.n not in (2, 3):
+        raise CircumcircleError("circumcircles need a 2D system with 2 or 3 maps")
+    if ifs.n == 2:
+        return circumcircle_bifractal(ifs)
+    return circumcircle_trifractal(ifs)
+
+
 def best_bounding_ball(ifs: IfsSystem) -> BoundReport:
     """Smallest available bounding ball: circumcircle when it exists and
     beats the general ball, otherwise the general ball at the best center.
@@ -331,29 +343,14 @@ def best_bounding_ball(ifs: IfsSystem) -> BoundReport:
     if ifs.dim != 2 or ifs.n not in (2, 3):
         return general
     try:
-        if ifs.n == 2:
-            circ = circumcircle_bifractal(ifs)
-        else:
-            circ = circumcircle_trifractal(ifs)
+        circ = circumcircle(ifs)
     except CircumcircleError as exc:
-        return BoundReport(
-            ball=general.ball,
-            method=general.method,
-            slack=general.slack,
-            lambda_star=general.lambda_star,
-            mu_star=general.mu_star,
-            notes=general.notes + (f"circumcircle unavailable: {exc}",),
-        )
-    if circ.ball.r <= general.ball.r:
-        return circ
-    return BoundReport(
-        ball=general.ball,
-        method=general.method,
-        slack=general.slack,
-        lambda_star=general.lambda_star,
-        mu_star=general.mu_star,
-        notes=general.notes + ("general ball tighter than circumcircle",),
-    )
+        note = f"circumcircle unavailable: {exc}"
+    else:
+        if circ.ball.r <= general.ball.r:
+            return circ
+        note = "general ball tighter than circumcircle"
+    return replace(general, notes=general.notes + (note,))
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +417,7 @@ def tighten(
             f"(min slack {min(slack):.3e})"
         )
     centers, factors = _word_images(ifs, b.c, levels, budget)
-    center_ball, _ = min_ball(list(centers))
+    center_ball, _ = min_ball(centers)
     c_prime = center_ball.c
     if ifs.dim == 2:
         reach = np.abs(centers - c_prime) + factors * b.r

@@ -36,8 +36,7 @@ from .bounds import (
     BoundReport,
     CircumcircleError,
     best_bounding_ball,
-    circumcircle_bifractal,
-    circumcircle_trifractal,
+    circumcircle,
     containment_tol,
     general_bounding_ball,
     mu_star,
@@ -57,7 +56,11 @@ from .render import (
 
 
 class IfsDocumentError(ValueError):
-    """Malformed or invalid IFS input document."""
+    """Malformed or invalid IFS input document or command-line value."""
+
+
+class NonFiniteRecordError(ValueError):
+    """An output record would hold NaN or infinity, which JSON cannot."""
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +208,8 @@ def serialize_ifs(ifs: IfsSystem) -> str:
 
 def _jnum(x) -> str:
     v = float(x)
+    if not math.isfinite(v):
+        raise NonFiniteRecordError(f"non-finite number {v!r} in the output record")
     if v == 0.0:
         v = 0.0  # normalize -0.0
     return f"{v:.12g}"
@@ -280,6 +285,12 @@ def _budget() -> int:
     return value
 
 
+def _require(ok: bool, message: str) -> None:
+    """Reject a command-line value as a usage error (exit 2)."""
+    if not ok:
+        raise IfsDocumentError(message)
+
+
 def _ball_from_args(ifs: IfsSystem, args) -> Ball:
     center = args.center
     if len(center) != ifs.dim:
@@ -287,7 +298,20 @@ def _ball_from_args(ifs: IfsSystem, args) -> Ball:
             f"--center needs {ifs.dim} coordinates for this system"
         )
     c = complex(center[0], center[1]) if ifs.dim == 2 else np.array(center)
-    return Ball(c, args.radius)
+    try:
+        return Ball(c, args.radius)
+    except ValueError as exc:
+        raise IfsDocumentError(f"--center/--radius: {exc}") from None
+
+
+def _sample_points(ifs: IfsSystem, args):
+    """Attractor points by ``--depth`` (address words) or ``--count``
+    (chaos game)."""
+    _require(args.count is None or args.count >= 0, "--count must be >= 0")
+    _require(args.depth is None or args.depth >= 0, "--depth must be >= 0")
+    if args.depth is not None:
+        return address_points(ifs, args.depth, budget=_budget())
+    return chaos_game(ifs, args.count, args.seed)
 
 
 def _cmd_bound(args) -> int:
@@ -296,21 +320,8 @@ def _cmd_bound(args) -> int:
         report = best_bounding_ball(ifs)
     elif args.method == "general":
         report = general_bounding_ball(ifs, center=args.center)
-    else:  # circum
-        if ifs.dim != 2 or ifs.n not in (2, 3):
-            print(
-                "error: circumcircles need a 2D system with 2 or 3 maps",
-                file=sys.stderr,
-            )
-            return 1
-        try:
-            if ifs.n == 2:
-                report = circumcircle_bifractal(ifs)
-            else:
-                report = circumcircle_trifractal(ifs)
-        except CircumcircleError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    else:  # circum; CircumcircleError exits 1 from main
+        report = circumcircle(ifs)
     _emit_record(_report_record(report))
     return 0
 
@@ -355,6 +366,9 @@ def _cmd_intersect(args) -> int:
     if ifs.dim != 2:
         print("error: the CLI line query is 2D only", file=sys.stderr)
         return 1
+    _require(
+        math.isfinite(args.eps) and args.eps > 0.0, "--eps must be a finite number > 0"
+    )
     ax, ay, ux, uy = args.line
     try:
         line = Line(complex(ax, ay), complex(ux, uy))
@@ -376,10 +390,7 @@ def _cmd_sample(args) -> int:
     if (args.depth is None) == (args.count is None):
         raise IfsDocumentError("give exactly one of --depth or --count")
     try:
-        if args.depth is not None:
-            pts = address_points(ifs, args.depth, budget=_budget())
-        else:
-            pts = chaos_game(ifs, args.count, args.seed)
+        pts = _sample_points(ifs, args)
     except NodeBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -396,29 +407,23 @@ def _cmd_render(args) -> int:
     if ifs.dim != 2:
         print("error: rendering is 2D only", file=sys.stderr)
         return 1
-    if args.depth is not None:
-        pts = address_points(ifs, args.depth, budget=_budget())
-    else:
-        pts = chaos_game(ifs, args.count, args.seed)
+    pts = _sample_points(ifs, args)
     layers = [PointCloud(points=tuple(pts), radius_px=1.0)]
     general = general_bounding_ball(ifs, center="best")
     layers.append(CircleOutline(ball=general.ball, color=GENERAL_COLOR))
-    if ifs.n in (2, 3):
-        try:
-            circ = (
-                circumcircle_bifractal(ifs)
-                if ifs.n == 2
-                else circumcircle_trifractal(ifs)
-            )
-            layers.append(CircleOutline(ball=circ.ball, color=CIRCUM_COLOR))
-        except CircumcircleError:
-            pass
+    try:
+        layers.append(CircleOutline(ball=circumcircle(ifs).ball, color=CIRCUM_COLOR))
+    except CircumcircleError:
+        pass
     if args.line is not None:
         ax, ay, ux, uy = args.line
         layers.append(LineSegment(line=Line(complex(ax, ay), complex(ux, uy))))
     doc = emit(Scene(layers=tuple(layers)))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(doc)
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(doc)
+    except OSError as exc:
+        raise IfsDocumentError(f"cannot write {args.out}: {exc}") from None
     return 0
 
 
@@ -506,7 +511,7 @@ def main(argv=None) -> int:
     except IfsDocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CircumcircleError, NodeBudgetExceeded) as exc:
+    except (CircumcircleError, NodeBudgetExceeded, NonFiniteRecordError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

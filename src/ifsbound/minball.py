@@ -1,29 +1,30 @@
 """Exact smallest enclosing circle (2D) and sphere (3D) of finite point sets.
 
-The solver is the classic randomized incremental construction with boundary
-sets of size up to d+1 (expected linear time), run on a fixed-seed shuffle
-so that repeated calls are bit-for-bit identical.  Degenerate boundary sets
-(collinear or coplanar candidates) fall back to the smallest covering ball
-of a subset, which keeps every entry point total.
+One d-generic pivoting solver serves both dimensions (after Gärtner, "Fast
+and Robust Smallest Enclosing Balls", ESA 1999): the ball is spanned by at
+most d+1 support points, and each step adds the point farthest from the
+center, found by one vectorised distance pass, then solves that small set
+exactly.  The radius grows with every step; the loop ends when no point is
+outside or the radius stops growing in floating point.
 
 Also hosts the radius function of an IFS: the distance from a query point
-to its farthest fixed point, i.e. the smallest covering radius centered
-there.
+to its farthest fixed point, the smallest covering radius centered there.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+
 import numpy as np
 
 from .ifs import Ball, IfsSystem, dist
-from .rng import SplitMix64
 
-_SHUFFLE_SEED = 0x5EEDBA11
-_MEPS = 1e-14
+# an edge whose part off the span of the earlier edges is below this
+# fraction of its length counts as degenerate (flat simplex)
+_RCOND = 1e-7
 
 
 @dataclass(frozen=True)
@@ -39,288 +40,123 @@ def radius_function(ifs: IfsSystem, z) -> float:
     return max(dist(p, z) for p in ifs.fixed_points)
 
 
-# ---------------------------------------------------------------------------
-# 2D internals (complex arithmetic)
-# ---------------------------------------------------------------------------
-
-
-def _circum3_2d(a: complex, b: complex, c: complex):
-    """Circumcenter of a triangle, or None when collinear."""
-    d = 2.0 * ((b.real - a.real) * (c.imag - a.imag) - (b.imag - a.imag) * (c.real - a.real))
-    if d == 0.0:
-        return None
-    ux = b - a
-    vx = c - a
-    uu = ux.real * ux.real + ux.imag * ux.imag
-    vv = vx.real * vx.real + vx.imag * vx.imag
-    px = (uu * vx.imag - vv * ux.imag) / d
-    py = (vv * ux.real - uu * vx.real) / d
-    ctr = a + complex(px, py)
-    return ctr, max(abs(ctr - a), abs(ctr - b), abs(ctr - c))
-
-
-def _cover_subset_2d(pts, idxs):
-    """Smallest ball covering <= 3 possibly degenerate points."""
-    best = None
-    order = sorted(range(len(pts)), key=lambda i: idxs[i])
-    for i, j in combinations(order, 2):
-        c = (pts[i] + pts[j]) / 2.0
-        r = max(abs(pts[i] - c), abs(pts[j] - c))
-        if all(abs(p - c) <= r * (1 + _MEPS) for p in pts):
-            if best is None or r < best[1]:
-                best = (c, r, (idxs[i], idxs[j]))
-    if best is None:
-        i = order[0]
-        best = (pts[i], 0.0, (idxs[i],))
-    return best
-
-
-def _min_ball_2d(points, indices):
-    n = len(points)
-
-    def contains(c, r, p):
-        return abs(p - c) <= r * (1 + _MEPS)
-
-    def with_three(q1, i1, q2, i2, q3, i3):
-        res = _circum3_2d(q1, q2, q3)
-        if res is None:
-            return _cover_subset_2d([q1, q2, q3], [i1, i2, i3])
-        return res[0], res[1], tuple(sorted((i1, i2, i3)))
-
-    def with_two(pts, idxs, q1, i1, q2, i2):
-        c = (q1 + q2) / 2.0
-        r = max(abs(q1 - c), abs(q2 - c))
-        sup = tuple(sorted((i1, i2)))
-        for k in range(len(pts)):
-            p = pts[k]
-            if not contains(c, r, p):
-                c, r, sup = with_three(q1, i1, q2, i2, p, idxs[k])
-        return c, r, sup
-
-    def with_one(pts, idxs, q1, i1):
-        c, r, sup = q1, 0.0, (i1,)
-        for k in range(len(pts)):
-            p = pts[k]
-            if not contains(c, r, p):
-                c, r, sup = with_two(pts[:k], idxs[:k], q1, i1, p, idxs[k])
-        return c, r, sup
-
-    c, r, sup = points[0], 0.0, (indices[0],)
-    for k in range(1, n):
-        p = points[k]
-        if not contains(c, r, p):
-            c, r, sup = with_one(points[:k], indices[:k], p, indices[k])
-    return c, r, sup
-
-
-# ---------------------------------------------------------------------------
-# 3D internals (tuple arithmetic, unrolled)
-# ---------------------------------------------------------------------------
-
-
-def _d3(a, b):
-    return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
-
-
-def _circum3_3d(a, b, c):
-    """Circumcenter of three points inside their own plane, or None."""
-    u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-    v = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
-    uu = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
-    vv = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    uv = u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-    det = uu * vv - uv * uv
-    if det <= 1e-14 * uu * vv or uu == 0.0 or vv == 0.0:
-        return None
-    al = 0.5 * (uu * vv - vv * uv) / det
-    be = 0.5 * (vv * uu - uu * uv) / det
-    ctr = (a[0] + al * u[0] + be * v[0], a[1] + al * u[1] + be * v[1], a[2] + al * u[2] + be * v[2])
-    return ctr, max(_d3(ctr, a), _d3(ctr, b), _d3(ctr, c))
-
-
-def _circum4_3d(a, b, c, d):
-    """Circumcenter of four points, or None when (near) coplanar."""
-    rows = []
-    rhs = []
-    for q in (b, c, d):
-        u = (q[0] - a[0], q[1] - a[1], q[2] - a[2])
-        rows.append((2 * u[0], 2 * u[1], 2 * u[2]))
-        rhs.append(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
-    det = (
-        m00 * (m11 * m22 - m12 * m21)
-        - m01 * (m10 * m22 - m12 * m20)
-        + m02 * (m10 * m21 - m11 * m20)
-    )
-    scale = max(abs(x) for row in rows for x in row) or 1.0
-    if abs(det) <= 1e-12 * scale**3:
-        return None
-    x = (
-        rhs[0] * (m11 * m22 - m12 * m21)
-        - m01 * (rhs[1] * m22 - m12 * rhs[2])
-        + m02 * (rhs[1] * m21 - m11 * rhs[2])
-    ) / det
-    y = (
-        m00 * (rhs[1] * m22 - m12 * rhs[2])
-        - rhs[0] * (m10 * m22 - m12 * m20)
-        + m02 * (m10 * rhs[2] - rhs[1] * m20)
-    ) / det
-    z = (
-        m00 * (m11 * rhs[2] - rhs[1] * m21)
-        - m01 * (m10 * rhs[2] - rhs[1] * m20)
-        + rhs[0] * (m10 * m21 - m11 * m20)
-    ) / det
-    ctr = (a[0] + x, a[1] + y, a[2] + z)
-    return ctr, max(_d3(ctr, a), _d3(ctr, b), _d3(ctr, c), _d3(ctr, d))
-
-
-def _cover_subset_3d(pts, idxs):
-    """Smallest ball covering <= 4 possibly degenerate points."""
-    best = None
-    order = sorted(range(len(pts)), key=lambda i: idxs[i])
-    for i, j in combinations(order, 2):
-        c = tuple((pts[i][t] + pts[j][t]) / 2.0 for t in range(3))
-        r = max(_d3(pts[i], c), _d3(pts[j], c))
-        if all(_d3(p, c) <= r * (1 + _MEPS) for p in pts):
-            if best is None or r < best[1]:
-                best = (c, r, (idxs[i], idxs[j]))
-    if best is None:
-        for i, j, k in combinations(order, 3):
-            res = _circum3_3d(pts[i], pts[j], pts[k])
-            if res is None:
-                continue
-            c, r = res
-            if all(_d3(p, c) <= r * (1 + _MEPS) for p in pts):
-                if best is None or r < best[1]:
-                    best = (c, r, (idxs[i], idxs[j], idxs[k]))
-    if best is None:
-        if len(pts) == 1:
-            i = order[0]
-            best = (pts[i], 0.0, (idxs[i],))
-        else:
-            # near-degenerate quadruple with 4 true support points: accept a
-            # covering (not minimal) ball so the caller can keep refining
-            c = tuple(sum(p[t] for p in pts) / len(pts) for t in range(3))
-            r = max(_d3(p, c) for p in pts)
-            best = (c, r, tuple(sorted(idxs)))
-    return best
-
-
-def _min_ball_3d(points, indices):
-    n = len(points)
-
-    def contains(c, r, p):
-        return _d3(p, c) <= r * (1 + _MEPS)
-
-    def with_four(q1, i1, q2, i2, q3, i3, q4, i4):
-        res = _circum4_3d(q1, q2, q3, q4)
-        if res is None:
-            return _cover_subset_3d([q1, q2, q3, q4], [i1, i2, i3, i4])
-        return res[0], res[1], tuple(sorted((i1, i2, i3, i4)))
-
-    def with_three(pts, idxs, q1, i1, q2, i2, q3, i3):
-        res = _circum3_3d(q1, q2, q3)
-        if res is None:
-            c, r, sup = _cover_subset_3d([q1, q2, q3], [i1, i2, i3])
-        else:
-            c, r = res
-            sup = tuple(sorted((i1, i2, i3)))
-        for k in range(len(pts)):
-            p = pts[k]
-            if not contains(c, r, p):
-                c, r, sup = with_four(q1, i1, q2, i2, q3, i3, p, idxs[k])
-        return c, r, sup
-
-    def with_two(pts, idxs, q1, i1, q2, i2):
-        c = tuple((q1[t] + q2[t]) / 2.0 for t in range(3))
-        r = max(_d3(q1, c), _d3(q2, c))
-        sup = tuple(sorted((i1, i2)))
-        for k in range(len(pts)):
-            p = pts[k]
-            if not contains(c, r, p):
-                c, r, sup = with_three(pts[:k], idxs[:k], q1, i1, q2, i2, p, idxs[k])
-        return c, r, sup
-
-    def with_one(pts, idxs, q1, i1):
-        c, r, sup = q1, 0.0, (i1,)
-        for k in range(len(pts)):
-            p = pts[k]
-            if not contains(c, r, p):
-                c, r, sup = with_two(pts[:k], idxs[:k], q1, i1, p, idxs[k])
-        return c, r, sup
-
-    c, r, sup = points[0], 0.0, (indices[0],)
-    for k in range(1, n):
-        p = points[k]
-        if not contains(c, r, p):
-            c, r, sup = with_one(points[:k], indices[:k], p, indices[k])
-    return c, r, sup
-
-
-# ---------------------------------------------------------------------------
-# public entry points
-# ---------------------------------------------------------------------------
-
-
-def _normalize_points(points):
-    """Return (list of complex | list of 3-tuples, dim)."""
-    items = list(points)
-    if not items:
+def _coordinates(points) -> np.ndarray:
+    """Points as a ``(d, N)`` float array: one row per axis makes the
+    distance pass over all points several times faster than ``(N, d)``."""
+    items = points if isinstance(points, np.ndarray) else list(points)
+    if len(items) == 0:
         raise ValueError("min_ball needs at least one point")
-    first = items[0]
-    if isinstance(first, (complex, float, int)):
-        out = []
-        for p in items:
-            z = complex(p)
-            if not cmath.isfinite(z):
-                raise ValueError("non-finite coordinate")
-            out.append(z)
-        return out, 2
-    arr = [np.asarray(p, dtype=float) for p in items]
-    width = arr[0].shape
-    if width == (2,):
-        out = []
-        for v in arr:
-            if v.shape != (2,) or not np.all(np.isfinite(v)):
-                raise ValueError("bad 2D coordinate")
-            out.append(complex(v[0], v[1]))
-        return out, 2
-    if width == (3,):
-        out = []
-        for v in arr:
-            if v.shape != (3,) or not np.all(np.isfinite(v)):
-                raise ValueError("bad 3D coordinate")
-            out.append((float(v[0]), float(v[1]), float(v[2])))
-        return out, 3
-    raise ValueError(f"points must be 2D or 3D, got shape {width}")
+    if isinstance(items[0], (complex, float, int)):
+        z = np.asarray(items, dtype=complex)
+        if z.ndim != 1:
+            raise ValueError("bad 2D coordinate")
+        cols = np.stack([z.real, z.imag])
+    else:
+        arr = np.asarray(items, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] not in (2, 3):
+            raise ValueError(f"points must be 2D or 3D, got shape {arr.shape[1:]}")
+        cols = np.ascontiguousarray(arr.T)
+    if not np.all(np.isfinite(cols)):
+        raise ValueError("non-finite coordinate")
+    return cols
+
+
+def _circumcenters(q: np.ndarray, idx: np.ndarray):
+    """Center of the ball through each subset ``q[idx[j]]`` (d+1 indices; a
+    smaller subset repeats its first), in the subset's affine hull, and the
+    rank of its edges ``v_i = q_i - q_0``.  The offset ``x`` solves
+    ``v_i . x = |v_i|^2 / 2`` over a modified Gram-Schmidt basis of the
+    edges, for all subsets at once; an edge within ``_RCOND`` of the span
+    of the earlier ones is dropped, so degenerate subsets stay finite."""
+    base = q[idx[:, 0]]
+    v = q[idx[:, 1:]] - base[:, None, :]
+    length2 = np.einsum("sij,sij->si", v, v)
+    x = np.zeros_like(base)
+    basis, rank = [], 0
+    for i in range(q.shape[1]):
+        edge = v[:, i]
+        w = edge.copy()
+        for e in basis:
+            w -= (w * e).sum(axis=1)[:, None] * e
+        norm = np.sqrt((w * w).sum(axis=1))
+        ok = norm * norm > _RCOND**2 * length2[:, i]
+        inv = ok / np.where(ok, norm, 1.0)
+        e = w * inv[:, None]
+        # edge . e = norm, so this step makes edge . x = |edge|^2 / 2
+        x += ((0.5 * length2[:, i] - (edge * x).sum(axis=1)) * inv)[:, None] * e
+        basis.append(e)
+        rank = rank + ok
+    centers = base + x
+    # a pair gets its exact midpoint, as the mean of two points does, so
+    # that center strategies which agree in exact arithmetic tie exactly
+    pair = np.count_nonzero(idx[:, 1:] != idx[:, :1], axis=1) == 1
+    centers[pair] = (base[pair] + q[idx[pair, 1]]) / 2.0
+    return centers, rank
+
+
+@lru_cache(maxsize=None)
+def _subsets(d: int, size: int) -> np.ndarray:
+    """Index rows of every subset of ``range(size)`` that holds the last
+    index and at most d others, smallest subsets first (the full set last
+    when size <= d+1)."""
+    last = size - 1
+    rows = [
+        [last, *others] + [last] * (d - len(others))
+        for m in range(min(d, last) + 1)
+        for others in combinations(range(last), m)
+    ]
+    idx = np.array(rows, dtype=np.intp)
+    idx.setflags(write=False)
+    return idx
+
+
+def _pivot(q: np.ndarray):
+    """Smallest ball of ``q`` with the last point on its boundary: center,
+    squared radius and support indices.  Each candidate is scored by its
+    covering radius of all of ``q``, so no degenerate subset can undercut
+    the true ball; ties go to the smallest subset."""
+    idx = _subsets(q.shape[1], len(q))
+    centers, _ = _circumcenters(q, idx)
+    diff = q[None, :, :] - centers[:, None, :]
+    reach = np.einsum("sij,sij->si", diff, diff).max(axis=1)
+    j = int(np.argmin(reach))
+    return centers[j], float(reach[j]), sorted(set(idx[j].tolist()))
+
+
+def _native(c: np.ndarray):
+    """A complex number for a plane point, a 3-vector for a space point."""
+    return complex(c[0], c[1]) if len(c) == 2 else c.copy()
 
 
 def min_ball(points) -> tuple:
     """Smallest enclosing ball of a nonempty point set.
 
     Returns ``(Ball, SupportSet)``.  Accepts complex numbers, ``(x, y)``
-    pairs, or ``(x, y, z)`` triples.  Output is deterministic: the internal
-    shuffle uses a fixed seed and support ties resolve by input index.
+    pairs, ``(x, y, z)`` triples, a complex 1-D array or an ``(N, 2|3)``
+    array; plane results use complex centers and points.  Pivoting starts
+    from the first point and always takes the farthest point (the first one
+    on ties): nothing is random, so repeated calls are bit-for-bit identical.
+    Support indices come sorted.  The radius is the largest distance from
+    the center to any input point, so every point is covered.
     """
-    pts, dim = _normalize_points(points)
-    idxs = list(range(len(pts)))
-    order = list(range(len(pts)))
-    SplitMix64(_SHUFFLE_SEED).shuffle(order)
-    shuffled = [pts[i] for i in order]
-    sidx = [idxs[i] for i in order]
-    if dim == 2:
-        c, r, sup = _min_ball_2d(shuffled, sidx)
-        maxd = max(abs(p - c) for p in pts)
-        r = max(r, maxd)
-        support = SupportSet(points=tuple(pts[i] for i in sup), indices=tuple(sup))
-        return Ball(c, r), support
-    c, r, sup = _min_ball_3d(shuffled, sidx)
-    maxd = max(_d3(p, c) for p in pts)
-    r = max(r, maxd)
-    support = SupportSet(
-        points=tuple(np.array(pts[i]) for i in sup), indices=tuple(sup)
-    )
-    return Ball(np.array(c), r), support
+    cols = _coordinates(points)
+    support, c, r2 = [0], cols[:, 0], 0.0
+    while True:
+        d2 = (cols[0] - c[0]) ** 2
+        for axis in range(1, len(cols)):
+            d2 += (cols[axis] - c[axis]) ** 2
+        k = int(np.argmax(d2))
+        if d2[k] <= r2:
+            break
+        ids = support + [k]
+        center, reach, members = _pivot(cols[:, ids].T)
+        if reach <= r2:
+            break
+        support, c, r2 = [ids[i] for i in members], center, reach
+    support.sort()
+    ball = Ball(_native(c), math.sqrt(d2[k]))
+    points_out = tuple(_native(cols[:, i]) for i in support)
+    return ball, SupportSet(points=points_out, indices=tuple(support))
 
 
 def ball_from_support(points) -> Ball:
@@ -330,27 +166,12 @@ def ball_from_support(points) -> Ball:
     (3D) the circumball.  Degenerate inputs (collinear, coplanar) fall back
     to the smallest ball covering the points, so the function is total.
     """
-    pts, dim = _normalize_points(points)
-    k = len(pts)
-    limit = dim + 1
-    if k > limit:
-        raise ValueError(f"at most {limit} support points in {dim}D, got {k}")
-    if k == 1:
-        return Ball(pts[0] if dim == 2 else np.array(pts[0]), 0.0)
-    if dim == 2:
-        if k == 2:
-            c = (pts[0] + pts[1]) / 2.0
-            return Ball(c, max(abs(pts[0] - c), abs(pts[1] - c)))
-        res = _circum3_2d(*pts)
-        if res is not None:
-            return Ball(res[0], res[1])
-        c, r, _ = _cover_subset_2d(pts, list(range(k)))
-        return Ball(c, r)
-    if k == 2:
-        c = tuple((pts[0][t] + pts[1][t]) / 2.0 for t in range(3))
-        return Ball(np.array(c), max(_d3(pts[0], c), _d3(pts[1], c)))
-    res = _circum3_3d(*pts) if k == 3 else _circum4_3d(*pts)
-    if res is not None:
-        return Ball(np.array(res[0]), res[1])
-    c, r, _ = _cover_subset_3d(pts, list(range(k)))
-    return Ball(np.array(c), r)
+    arr = _coordinates(points).T
+    k, d = arr.shape
+    if k > d + 1:
+        raise ValueError(f"at most {d + 1} support points in {d}D, got {k}")
+    centers, rank = _circumcenters(arr, _subsets(d, k)[-1:])
+    if rank[0] < k - 1:
+        return min_ball(arr)[0]
+    c = centers[0]
+    return Ball(_native(c), float(np.max(np.linalg.norm(arr - c, axis=1))))

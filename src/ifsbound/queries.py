@@ -142,7 +142,7 @@ def intersect_line(
     the surviving frontier is emitted as-is and the result is flagged
     truncated, preserving completeness at lower resolution.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:  # also rejects NaN
         raise ValueError("eps must be positive")
     if bound is None:
         bound = best_bounding_ball(ifs).ball

@@ -15,6 +15,7 @@ from ifsbound import (
     apply_M,
     apply_word,
     best_bounding_ball,
+    circumcircle,
     circumcircle_bifractal,
     circumcircle_trifractal,
     containment_tol,
@@ -381,6 +382,22 @@ class TestBestBoundingBall:
         ifs = random_ifs_2d(rng, n=5)
         report = best_bounding_ball(ifs)
         assert report.method.startswith("general")
+
+
+class TestCircumcircleDispatch:
+    def test_picks_construction_by_map_count(self):
+        assert circumcircle(cantor_ifs()).method == "circum_bi"
+        assert circumcircle(sierpinski_ifs()).method == "circum_tri"
+
+    def test_other_systems_raise(self):
+        rng = np.random.default_rng(57)
+        for ifs in (
+            IfsSystem(maps=(Similitude2(p=0, phi=0.5),)),
+            random_ifs_2d(rng, n=4),
+            random_ifs_3d(rng, n=2),
+        ):
+            with pytest.raises(CircumcircleError, match="2 or 3 maps"):
+                circumcircle(ifs)
 
 
 class TestTighten:

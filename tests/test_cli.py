@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ifsbound import IfsDocumentError, parse_ifs, serialize_ifs
-from ifsbound.cli import main
+from ifsbound.cli import NonFiniteRecordError, _jnum, main
 from conftest import random_ifs_2d, random_ifs_3d
 
 CANTOR_DOC = json.dumps(
@@ -374,3 +374,34 @@ class TestCliCommands:
         assert code == 0
         text = out.read_text()
         assert "<line " in text and 'stroke="#d62728"' in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--count", "-1"],
+        ["sample", "--depth", "-1"],
+        ["verify", "--center", "0.5", "0", "--radius", "-1"],
+        ["verify", "--center", "0.5", "0", "--radius", "nan"],
+        ["tighten", "--center", "0.5", "0", "--radius", "nan"],
+        ["intersect", "--line", "0", "0", "1", "0", "--eps", "nan"],
+        ["intersect", "--line", "0", "0", "1", "0", "--eps", "0"],
+        ["intersect", "--line", "0", "0", "1", "0", "--eps", "-0.001"],
+        ["render", "--out", "{missing}/x.svg", "--count", "100"],
+    ],
+)
+def test_hostile_numbers_are_usage_errors(argv, cantor_file, tmp_path, capsys):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    code = main(argv + ["--input", cantor_file])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_non_finite_numbers_never_serialized():
+    assert _jnum(-0.0) == "0"
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NonFiniteRecordError):
+            _jnum(bad)

@@ -8,6 +8,7 @@ from ifsbound import (
     IfsSystem,
     Similitude2,
     ball_from_support,
+    dist,
     min_ball,
     radius_function,
 )
@@ -16,6 +17,13 @@ from conftest import brute_min_ball, cantor_ifs
 finite = dict(allow_nan=False, allow_infinity=False)
 coord = st.floats(-10, 10, **finite)
 points2 = st.builds(complex, coord, coord)
+
+
+def random_points(rng, n, dim, half_width):
+    """``n`` uniform points in a cube: complex numbers in 2D, 3-vectors in 3D."""
+    if dim == 2:
+        return [complex(a, b) for a, b in rng.uniform(-half_width, half_width, size=(n, 2))]
+    return list(rng.uniform(-half_width, half_width, size=(n, 3)))
 
 
 def three_point_ifs():
@@ -177,23 +185,25 @@ class TestMinBallProperties:
 
     def test_support_on_boundary(self):
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            n = int(rng.integers(2, 40))
-            pts = [complex(a, b) for a, b in rng.uniform(-4, 4, size=(n, 2))]
-            ball, support = min_ball(pts)
-            tol = 1e-9 * (1 + ball.r)
-            for p in support.points:
-                assert abs(abs(p - ball.c) - ball.r) <= tol
+        for dim in (2, 3):
+            for _ in range(200):
+                n = int(rng.integers(2, 40))
+                pts = random_points(rng, n, dim, 4)
+                ball, support = min_ball(pts)
+                tol = 1e-9 * (1 + ball.r)
+                for p in support.points:
+                    assert abs(dist(p, ball.c) - ball.r) <= tol
 
     def test_support_ball_reproduces_min_ball(self):
         rng = np.random.default_rng(8)
-        for _ in range(200):
-            n = int(rng.integers(2, 40))
-            pts = [complex(a, b) for a, b in rng.uniform(-4, 4, size=(n, 2))]
-            ball, support = min_ball(pts)
-            again = ball_from_support(support.points)
-            assert abs(again.c - ball.c) <= 1e-9 * (1 + ball.r)
-            assert again.r == pytest.approx(ball.r, abs=1e-9 * (1 + ball.r))
+        for dim in (2, 3):
+            for _ in range(200):
+                n = int(rng.integers(2, 40))
+                pts = random_points(rng, n, dim, 4)
+                ball, support = min_ball(pts)
+                again = ball_from_support(support.points)
+                assert dist(again.c, ball.c) <= 1e-9 * (1 + ball.r)
+                assert again.r == pytest.approx(ball.r, abs=1e-9 * (1 + ball.r))
 
     def test_support_certificate_strict(self):
         # dropping any support point must shrink the ball (generic inputs)
@@ -231,3 +241,73 @@ class TestMinBallProperties:
             assert abs(b3.c[1] - b2.c.imag) <= 1e-10
             assert abs(b3.c[2]) <= 1e-10
             assert b3.r == pytest.approx(b2.r, abs=1e-10)
+
+
+def _same(a, b):
+    (ba, sa), (bb, sb) = a, b
+    assert np.array_equal(np.asarray(ba.c), np.asarray(bb.c)) and ba.r == bb.r
+    assert sa.indices == sb.indices
+    assert all(np.array_equal(np.asarray(p), np.asarray(q)) for p, q in zip(sa.points, sb.points))
+
+
+class TestArrayInput:
+    def test_complex_array_matches_list(self):
+        rng = np.random.default_rng(31)
+        z = rng.uniform(-2, 2, 500) + 1j * rng.uniform(-2, 2, 500)
+        ref = min_ball(list(z))
+        _same(min_ball(z), ref)
+        _same(min_ball(np.stack([z.real, z.imag], axis=1)), ref)
+        _same(min_ball([(p.real, p.imag) for p in z]), ref)
+        assert isinstance(ref[0].c, complex) and isinstance(ref[1].points[0], complex)
+
+    def test_3d_array_matches_list(self):
+        rng = np.random.default_rng(32)
+        pts = rng.uniform(-2, 2, size=(500, 3))
+        ref = min_ball(list(pts))
+        _same(min_ball(pts), ref)
+        _same(min_ball([tuple(p) for p in pts]), ref)
+        assert ref[0].c.shape == (3,)
+
+    def test_bad_arrays_rejected(self):
+        with pytest.raises(ValueError):
+            min_ball(np.zeros((0, 2)))
+        with pytest.raises(ValueError):
+            min_ball(np.zeros((5, 4)))
+        with pytest.raises(ValueError):
+            min_ball(np.array([0j, complex(0, float("inf"))]))
+
+
+class TestDegenerateSets:
+    """Cospherical and degenerate inputs stop, cover every point and keep
+    the support on the boundary."""
+
+    def check(self, pts, radius):
+        ball, support = min_ball(pts)
+        arr = np.asarray(pts)
+        if arr.ndim == 1:
+            far = np.max(np.abs(arr - ball.c))
+        else:
+            far = np.max(np.linalg.norm(arr - ball.c, axis=1))
+        assert far <= ball.r * (1 + 1e-15)
+        assert ball.r == pytest.approx(radius, rel=1e-12, abs=1e-300)
+        for p in support.points:
+            assert abs(dist(p, ball.c) - ball.r) <= 1e-9 * (1 + ball.r)
+        assert list(support.indices) == sorted(support.indices)
+
+    def test_circle(self):
+        theta = np.linspace(0.0, 2.0 * np.pi, 10**5, endpoint=False)
+        self.check(3.0 * np.exp(1j * theta) + (1 + 2j), 3.0)
+
+    def test_sphere(self):
+        v = np.random.default_rng(33).normal(size=(5 * 10**4, 3))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        self.check(2.0 * v + 1.0, 2.0)
+
+    def test_all_equal(self):
+        self.check(np.full(5 * 10**4, 0.25 - 1j), 0.0)
+        self.check(np.tile([0.5, -1.0, 2.0], (5 * 10**4, 1)), 0.0)
+
+    def test_collinear_3d(self):
+        t = np.random.default_rng(34).uniform(-1.0, 1.0, 10**4)
+        pts = np.stack([t, 2.0 * t + 1.0, -t], axis=1)
+        self.check(pts, (t.max() - t.min()) * math.sqrt(6.0) / 2.0)
