@@ -24,13 +24,13 @@ import numpy as np
 
 from .ifs import (
     Ball,
+    IfsDocumentError,
     IfsSystem,
     NodeBudgetExceeded,
     DEFAULT_NODE_BUDGET,
-    Similitude2,
-    Similitude3,
     address_points,
     chaos_game,
+    parse_ifs,
 )
 from .bounds import (
     BoundReport,
@@ -55,150 +55,8 @@ from .render import (
 )
 
 
-class IfsDocumentError(ValueError):
-    """Malformed or invalid IFS input document or command-line value."""
-
-
 class NonFiniteRecordError(ValueError):
     """An output record would hold NaN or infinity, which JSON cannot."""
-
-
-# ---------------------------------------------------------------------------
-# document parsing and serialization
-# ---------------------------------------------------------------------------
-
-
-def _floats(value, count, what):
-    if not isinstance(value, (list, tuple)) or len(value) != count:
-        raise IfsDocumentError(f"{what} must be a list of {count} numbers")
-    try:
-        return [float(v) for v in value]
-    except (TypeError, ValueError):
-        raise IfsDocumentError(f"{what} must contain numbers") from None
-
-
-def parse_ifs(text: str) -> IfsSystem:
-    """Parse and validate an IFS document, raising IfsDocumentError."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise IfsDocumentError(
-            f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(doc, dict):
-        raise IfsDocumentError("document root must be an object")
-    dim = doc.get("dimension")
-    if dim not in (2, 3):
-        raise IfsDocumentError("dimension must be 2 or 3")
-    recs = doc.get("maps")
-    if not isinstance(recs, list) or not recs:
-        raise IfsDocumentError("maps must be a nonempty array")
-    maps = []
-    for i, rec in enumerate(recs, start=1):
-        if not isinstance(rec, dict):
-            raise IfsDocumentError(f"map {i} must be an object")
-        try:
-            if dim == 2:
-                px, py = _floats(rec.get("p"), 2, f"map {i} p")
-                if "phi" in rec:
-                    re, im = _floats(rec["phi"], 2, f"map {i} phi")
-                    phi = complex(re, im)
-                elif "lambda" in rec and "theta" in rec:
-                    lam = float(rec["lambda"])
-                    theta = float(rec["theta"])
-                    phi = lam * complex(math.cos(theta), math.sin(theta))
-                else:
-                    raise IfsDocumentError(
-                        f"map {i} needs either phi or lambda+theta"
-                    )
-                if not 0.0 < abs(phi) < 1.0:
-                    raise IfsDocumentError(
-                        f"map {i} is not a contraction (|phi| = {abs(phi):.6g})"
-                    )
-                maps.append(Similitude2(p=complex(px, py), phi=phi))
-            else:
-                p = _floats(rec.get("p"), 3, f"map {i} p")
-                if "lambda" not in rec:
-                    raise IfsDocumentError(f"map {i} needs lambda")
-                lam = float(rec["lambda"])
-                if not 0.0 < lam < 1.0:
-                    raise IfsDocumentError(
-                        f"map {i} is not a contraction (lambda = {lam:.6g})"
-                    )
-                axis = _floats(rec.get("axis"), 3, f"map {i} axis")
-                if not any(axis):
-                    raise IfsDocumentError(f"map {i} axis must be nonzero")
-                angle = float(rec.get("angle", 0.0))
-                maps.append(
-                    Similitude3.from_axis_angle(p=p, lam=lam, axis=axis, angle=angle)
-                )
-        except IfsDocumentError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise IfsDocumentError(f"map {i}: {exc}") from None
-    return IfsSystem(maps=tuple(maps))
-
-
-def _axis_angle_of(rot: np.ndarray):
-    """Recover (axis, angle) from a rotation matrix via quaternion extraction."""
-    m = rot
-    t = float(np.trace(m))
-    if t > 0.0:
-        s = math.sqrt(t + 1.0) * 2.0
-        w = 0.25 * s
-        x = (m[2, 1] - m[1, 2]) / s
-        y = (m[0, 2] - m[2, 0]) / s
-        z = (m[1, 0] - m[0, 1]) / s
-    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        w = (m[2, 1] - m[1, 2]) / s
-        x = 0.25 * s
-        y = (m[0, 1] + m[1, 0]) / s
-        z = (m[0, 2] + m[2, 0]) / s
-    elif m[1, 1] > m[2, 2]:
-        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        w = (m[0, 2] - m[2, 0]) / s
-        x = (m[0, 1] + m[1, 0]) / s
-        y = 0.25 * s
-        z = (m[1, 2] + m[2, 1]) / s
-    else:
-        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        w = (m[1, 0] - m[0, 1]) / s
-        x = (m[0, 2] + m[2, 0]) / s
-        y = (m[1, 2] + m[2, 1]) / s
-        z = 0.25 * s
-    if w < 0.0:
-        w, x, y, z = -w, -x, -y, -z
-    norm_v = math.sqrt(x * x + y * y + z * z)
-    if norm_v < 1e-300:
-        return (0.0, 0.0, 1.0), 0.0
-    return (x / norm_v, y / norm_v, z / norm_v), 2.0 * math.atan2(norm_v, w)
-
-
-def serialize_ifs(ifs: IfsSystem) -> str:
-    """Emit a document that parses back to the same system."""
-
-    def num(x):
-        return float(f"{float(x):.17g}")
-
-    recs = []
-    if ifs.dim == 2:
-        for m in ifs.maps:
-            recs.append(
-                {"p": [num(m.p.real), num(m.p.imag)], "phi": [num(m.phi.real), num(m.phi.imag)]}
-            )
-    else:
-        for m in ifs.maps:
-            axis, angle = _axis_angle_of(m.rot)
-            recs.append(
-                {
-                    "p": [num(v) for v in m.p],
-                    "lambda": num(m.lam),
-                    "axis": [num(v) for v in axis],
-                    "angle": num(angle),
-                }
-            )
-    return json.dumps({"dimension": ifs.dim, "maps": recs}, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +162,15 @@ def _ball_from_args(ifs: IfsSystem, args) -> Ball:
         raise IfsDocumentError(f"--center/--radius: {exc}") from None
 
 
+def _line_from_args(values) -> Line:
+    _require(all(map(math.isfinite, values)), "--line must be finite numbers")
+    ax, ay, ux, uy = values
+    try:
+        return Line(complex(ax, ay), complex(ux, uy))
+    except ValueError as exc:
+        raise IfsDocumentError(f"--line: {exc}") from None
+
+
 def _sample_points(ifs: IfsSystem, args):
     """Attractor points by ``--depth`` (address words) or ``--count``
     (chaos game)."""
@@ -369,9 +236,8 @@ def _cmd_intersect(args) -> int:
     _require(
         math.isfinite(args.eps) and args.eps > 0.0, "--eps must be a finite number > 0"
     )
-    ax, ay, ux, uy = args.line
+    line = _line_from_args(args.line)
     try:
-        line = Line(complex(ax, ay), complex(ux, uy))
         result = intersect_line(ifs, line, args.eps, budget=_budget())
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -416,8 +282,7 @@ def _cmd_render(args) -> int:
     except CircumcircleError:
         pass
     if args.line is not None:
-        ax, ay, ux, uy = args.line
-        layers.append(LineSegment(line=Line(complex(ax, ay), complex(ux, uy))))
+        layers.append(LineSegment(line=_line_from_args(args.line)))
     doc = emit(Scene(layers=tuple(layers)))
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

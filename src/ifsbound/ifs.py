@@ -1,4 +1,4 @@
-"""Similitude IFS data model, map application, and attractor sampling.
+"""Similitude IFS data model, JSON documents, map application, and sampling.
 
 2D points are plain Python complex numbers; 3D points are float64 NumPy
 vectors of shape (3,).  A map is a contraction ``z -> p + phi*(z - p)`` in
@@ -12,6 +12,7 @@ names the composition that applies map ``wL`` first and map ``w1`` last.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -93,6 +94,8 @@ class Similitude3:
         rot = np.asarray(self.rot, dtype=float)
         if rot.shape != (3, 3):
             raise ValueError("rotation must be a 3x3 matrix")
+        if not np.all(np.isfinite(rot)):
+            raise ValueError("non-finite rotation matrix")
         if np.max(np.abs(rot.T @ rot - np.eye(3))) > 1e-12:
             raise ValueError("rotation matrix is not orthogonal to 1e-12")
         if np.linalg.det(rot) < 0.0:
@@ -167,6 +170,143 @@ class IfsSystem:
     def lambda_star(self) -> float:
         """Largest contraction factor of the system."""
         return max(m.lam for m in self.maps)
+
+
+class IfsDocumentError(ValueError):
+    """Malformed or invalid IFS input document or command-line value."""
+
+
+def _floats(value, count, what):
+    if not isinstance(value, (list, tuple)) or len(value) != count:
+        raise IfsDocumentError(f"{what} must be a list of {count} numbers")
+    try:
+        return [float(v) for v in value]
+    except (TypeError, ValueError):
+        raise IfsDocumentError(f"{what} must contain numbers") from None
+
+
+def parse_ifs(text: str) -> IfsSystem:
+    """Parse and validate an IFS document, raising IfsDocumentError."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise IfsDocumentError(
+            f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    if not isinstance(doc, dict):
+        raise IfsDocumentError("document root must be an object")
+    dim = doc.get("dimension")
+    if dim not in (2, 3):
+        raise IfsDocumentError("dimension must be 2 or 3")
+    recs = doc.get("maps")
+    if not isinstance(recs, list) or not recs:
+        raise IfsDocumentError("maps must be a nonempty array")
+    maps = []
+    for i, rec in enumerate(recs, start=1):
+        if not isinstance(rec, dict):
+            raise IfsDocumentError(f"map {i} must be an object")
+        try:
+            if dim == 2:
+                px, py = _floats(rec.get("p"), 2, f"map {i} p")
+                if "phi" in rec:
+                    re, im = _floats(rec["phi"], 2, f"map {i} phi")
+                    phi = complex(re, im)
+                elif "lambda" in rec and "theta" in rec:
+                    lam = float(rec["lambda"])
+                    theta = float(rec["theta"])
+                    phi = lam * complex(math.cos(theta), math.sin(theta))
+                else:
+                    raise IfsDocumentError(
+                        f"map {i} needs either phi or lambda+theta"
+                    )
+                if not 0.0 < abs(phi) < 1.0:
+                    raise IfsDocumentError(
+                        f"map {i} is not a contraction (|phi| = {abs(phi):.6g})"
+                    )
+                maps.append(Similitude2(p=complex(px, py), phi=phi))
+            else:
+                p = _floats(rec.get("p"), 3, f"map {i} p")
+                if "lambda" not in rec:
+                    raise IfsDocumentError(f"map {i} needs lambda")
+                lam = float(rec["lambda"])
+                if not 0.0 < lam < 1.0:
+                    raise IfsDocumentError(
+                        f"map {i} is not a contraction (lambda = {lam:.6g})"
+                    )
+                axis = _floats(rec.get("axis"), 3, f"map {i} axis")
+                if not any(axis):
+                    raise IfsDocumentError(f"map {i} axis must be nonzero")
+                angle = float(rec.get("angle", 0.0))
+                maps.append(
+                    Similitude3.from_axis_angle(p=p, lam=lam, axis=axis, angle=angle)
+                )
+        except IfsDocumentError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise IfsDocumentError(f"map {i}: {exc}") from None
+    return IfsSystem(maps=tuple(maps))
+
+
+def _axis_angle_of(rot: np.ndarray):
+    """Recover (axis, angle) from a rotation matrix via quaternion extraction."""
+    m = rot
+    t = float(np.trace(m))
+    if t > 0.0:
+        s = math.sqrt(t + 1.0) * 2.0
+        w = 0.25 * s
+        x = (m[2, 1] - m[1, 2]) / s
+        y = (m[0, 2] - m[2, 0]) / s
+        z = (m[1, 0] - m[0, 1]) / s
+    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
+        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
+        w = (m[2, 1] - m[1, 2]) / s
+        x = 0.25 * s
+        y = (m[0, 1] + m[1, 0]) / s
+        z = (m[0, 2] + m[2, 0]) / s
+    elif m[1, 1] > m[2, 2]:
+        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
+        w = (m[0, 2] - m[2, 0]) / s
+        x = (m[0, 1] + m[1, 0]) / s
+        y = 0.25 * s
+        z = (m[1, 2] + m[2, 1]) / s
+    else:
+        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
+        w = (m[1, 0] - m[0, 1]) / s
+        x = (m[0, 2] + m[2, 0]) / s
+        y = (m[1, 2] + m[2, 1]) / s
+        z = 0.25 * s
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    norm_v = math.sqrt(x * x + y * y + z * z)
+    if norm_v < 1e-300:
+        return (0.0, 0.0, 1.0), 0.0
+    return (x / norm_v, y / norm_v, z / norm_v), 2.0 * math.atan2(norm_v, w)
+
+
+def serialize_ifs(ifs: IfsSystem) -> str:
+    """Emit a document that parses back to the same system."""
+
+    def num(x):
+        return float(f"{float(x):.17g}")
+
+    recs = []
+    if ifs.dim == 2:
+        for m in ifs.maps:
+            recs.append(
+                {"p": [num(m.p.real), num(m.p.imag)], "phi": [num(m.phi.real), num(m.phi.imag)]}
+            )
+    else:
+        for m in ifs.maps:
+            axis, angle = _axis_angle_of(m.rot)
+            recs.append(
+                {
+                    "p": [num(v) for v in m.p],
+                    "lambda": num(m.lam),
+                    "axis": [num(v) for v in axis],
+                    "angle": num(angle),
+                }
+            )
+    return json.dumps({"dimension": ifs.dim, "maps": recs}, indent=2) + "\n"
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -216,9 +215,10 @@ def emit(scene: Scene) -> str:
             )
         elif isinstance(layer, Label):
             x, y = to_px(layer.anchor)
+            text = layer.text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             parts.append(
                 f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{_fmt(layer.size_px)}" '
-                f'fill="{layer.color}">{escape(layer.text)}</text>'
+                f'fill="{layer.color}">{text}</text>'
             )
         else:
             raise TypeError(f"unknown scene layer {layer!r}")

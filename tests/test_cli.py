@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ifsbound
 from ifsbound import IfsDocumentError, parse_ifs, serialize_ifs
 from ifsbound.cli import NonFiniteRecordError, _jnum, main
 from conftest import random_ifs_2d, random_ifs_3d
@@ -314,6 +318,20 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
 
+    def test_3d_nan_angle_is_document_error(self, tmp_path, capsys):
+        path = tmp_path / "space.json"
+        path.write_text(
+            '{"dimension": 3, "maps": ['
+            '{"p": [0, 0, 0], "lambda": 0.5, "axis": [0, 0, 1], "angle": NaN}, '
+            '{"p": [1, 1, 1], "lambda": 0.5, "axis": [1, 0, 0], "angle": -0.2}]}'
+        )
+        code = main(["bound", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: map 1")
+
     def test_3d_bound_and_verify(self, tmp_path, capsys):
         doc = json.dumps(
             {
@@ -388,6 +406,9 @@ class TestCliCommands:
         ["intersect", "--line", "0", "0", "1", "0", "--eps", "0"],
         ["intersect", "--line", "0", "0", "1", "0", "--eps", "-0.001"],
         ["render", "--out", "{missing}/x.svg", "--count", "100"],
+        ["intersect", "--line", "0", "0", "nan", "0"],
+        ["render", "--out", "{missing}.svg", "--count", "100", "--line", "nan", "0", "1", "0"],
+        ["render", "--out", "{missing}.svg", "--count", "100", "--line", "0", "0", "0", "0"],
     ],
 )
 def test_hostile_numbers_are_usage_errors(argv, cantor_file, tmp_path, capsys):
@@ -405,3 +426,29 @@ def test_non_finite_numbers_never_serialized():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(NonFiniteRecordError):
             _jnum(bad)
+
+
+def _run_python(args):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ifsbound.__file__)))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_library_import_leaves_cli_unloaded():
+    probe = (
+        "import sys, ifsbound; "
+        "print([m for m in ('ifsbound.cli', 'argparse', 'xml.sax.saxutils', "
+        "'urllib.request') if m in sys.modules])"
+    )
+    result = _run_python(["-c", probe])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_module_entry_point_writes_one_error_line(tmp_path):
+    result = _run_python(["-m", "ifsbound.cli", "bound", "--input", str(tmp_path / "none.json")])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot read")

@@ -60,6 +60,12 @@ class TestSimilitudeValidation:
         with pytest.raises(ValueError):
             Similitude3(p=np.zeros(3), lam=0.5, rot=refl)
 
+    def test_3d_non_finite_rotation_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Similitude3(p=np.zeros(3), lam=0.5, rot=np.full((3, 3), np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            Similitude3.from_axis_angle(p=[0, 0, 0], lam=0.5, axis=[0, 0, 1], angle=math.nan)
+
     def test_axis_angle_rotation_is_orthogonal(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -78,7 +78,7 @@ class TestEmit:
                 PointCloud(points=(0.5 + 0.5j,)),
                 CircleOutline(ball=Ball(0.5 + 0.5j, 0.5)),
                 LineSegment(line=Line(0j, 1 + 0j)),
-                Label(text="a<b", anchor=0.5 + 0.5j),
+                Label(text="a<b&c>d", anchor=0.5 + 0.5j),
             ),
             canvas=(200, 200),
             viewport=Viewport(-1, -1, 2, 2),
@@ -86,7 +86,7 @@ class TestEmit:
         doc = emit(scene)
         assert doc.startswith("<svg xmlns=")
         assert doc.rstrip().endswith("</svg>")
-        assert "a&lt;b" in doc
+        assert "a&lt;b&amp;c&gt;d" in doc
         assert "<line " in doc
 
     def test_line_outside_viewport_skipped(self):
