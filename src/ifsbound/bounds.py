@@ -30,10 +30,11 @@ import numpy as np
 from .ifs import (
     Ball,
     IfsSystem,
-    NodeBudgetExceeded,
     DEFAULT_NODE_BUDGET,
     Similitude3,
     dist,
+    _check_budget,
+    _word_tree_images,
 )
 from .minball import min_ball, radius_function
 
@@ -360,28 +361,9 @@ def best_bounding_ball(ifs: IfsSystem) -> BoundReport:
 
 def _word_images(ifs: IfsSystem, z, levels: int, budget: int):
     """Centers and contraction factors of all depth-``levels`` compositions."""
-    n = ifs.n
-    leaves = n**levels
-    if leaves > budget:
-        raise NodeBudgetExceeded(
-            f"{leaves} words at depth {levels} exceed the budget of {budget}"
-        )
-    factors = np.array([1.0])
-    if ifs.dim == 2:
-        centers = np.array([z], dtype=complex)
-        for _ in range(levels):
-            centers = np.concatenate(
-                [m.p + m.phi * (centers - m.p) for m in ifs.maps]
-            )
-            factors = np.concatenate([m.lam * factors for m in ifs.maps])
-        return centers, factors
-    centers = np.asarray(z, dtype=float).reshape(1, 3)
-    for _ in range(levels):
-        centers = np.concatenate(
-            [m.p + m.lam * ((centers - m.p) @ m.rot.T) for m in ifs.maps]
-        )
-        factors = np.concatenate([m.lam * factors for m in ifs.maps])
-    return centers, factors
+    _check_budget(ifs.n**levels, budget)
+    factors = np.ones(ifs.n**levels)
+    return _word_tree_images(ifs, np.array([z]), levels, factors), factors
 
 
 def tighten(
@@ -419,10 +401,9 @@ def tighten(
     centers, factors = _word_images(ifs, b.c, levels, budget)
     center_ball, _ = min_ball(centers)
     c_prime = center_ball.c
-    if ifs.dim == 2:
-        reach = np.abs(centers - c_prime) + factors * b.r
-    else:
-        reach = np.linalg.norm(centers - c_prime, axis=1) + factors * b.r
+    diff = np.subtract(centers, c_prime, out=centers)  # min_ball is done with them
+    reach = np.abs(diff) if ifs.dim == 2 else np.sqrt(np.square(diff, out=diff).sum(axis=1))
+    reach += np.multiply(factors, b.r, out=factors)
     radius = float(np.max(reach))
     coarse = center_ball.r + ifs.lambda_star**levels * b.r
     notes = (f"coarse radius bound {coarse:.12g}",)

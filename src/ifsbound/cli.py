@@ -163,7 +163,6 @@ def _ball_from_args(ifs: IfsSystem, args) -> Ball:
 
 
 def _line_from_args(values) -> Line:
-    _require(all(map(math.isfinite, values)), "--line must be finite numbers")
     ax, ay, ux, uy = values
     try:
         return Line(complex(ax, ay), complex(ux, uy))
@@ -255,11 +254,7 @@ def _cmd_sample(args) -> int:
     ifs = _load_system(args.input)
     if (args.depth is None) == (args.count is None):
         raise IfsDocumentError("give exactly one of --depth or --count")
-    try:
-        pts = _sample_points(ifs, args)
-    except NodeBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    pts = _sample_points(ifs, args)  # NodeBudgetExceeded exits 1 from main
     if ifs.dim == 2:
         listed = [[z.real, z.imag] for z in pts]
     else:

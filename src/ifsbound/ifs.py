@@ -390,6 +390,32 @@ def _check_budget(leaves: int, budget: int) -> None:
         )
 
 
+def _word_tree_images(ifs: IfsSystem, start: np.ndarray, levels: int, factors=None):
+    """Images of the points ``start`` (complex, or rows of 3) under all
+    depth-``levels`` compositions, map-major: block ``k`` of a level is map
+    ``k+1`` applied to the level before.  Levels are written in place, last
+    map first, so the source (block 0) goes last.  ``factors``, if given, is
+    filled alike from its first ``len(start)`` entries with contractions."""
+    count, n = len(start), ifs.n
+    out = np.empty((count * n**levels, *start.shape[1:]), dtype=start.dtype)
+    out[:count] = start
+    diff = np.empty((len(out) // n, 3)) if ifs.dim == 3 else None
+    for _ in range(levels):
+        src = out[:count]
+        for k in range(n - 1, -1, -1):
+            m, dst = ifs.maps[k], out[k * count : (k + 1) * count]
+            if ifs.dim == 2:
+                np.multiply(m.phi, np.subtract(src, m.p, out=dst), out=dst)
+            else:
+                np.subtract(src, m.p, out=diff[:count])
+                np.multiply(np.matmul(diff[:count], m.rot.T, out=dst), m.lam, out=dst)
+            np.add(dst, m.p, out=dst)
+            if factors is not None:
+                np.multiply(factors[:count], m.lam, out=factors[k * count : (k + 1) * count])
+        count *= n
+    return out
+
+
 def address_points(
     ifs: IfsSystem,
     depth: int,
@@ -407,19 +433,14 @@ def address_points(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    n = ifs.n
-    _check_budget(n ** (depth + 1), budget)
-    if ifs.dim == 2:
-        pts = np.array(ifs.fixed_points, dtype=complex)
-        for _ in range(depth):
-            pts = np.concatenate([m.p + m.phi * (pts - m.p) for m in ifs.maps])
-        return np.unique(pts) if dedupe else pts
-    pts = np.array([m.p for m in ifs.maps], dtype=float)
-    for _ in range(depth):
-        pts = np.concatenate(
-            [m.p + m.lam * ((pts - m.p) @ m.rot.T) for m in ifs.maps]
-        )
-    return np.unique(pts, axis=0) if dedupe else pts
+    _check_budget(ifs.n ** (depth + 1), budget)
+    pts = _word_tree_images(ifs, np.array(ifs.fixed_points), depth)
+    if not dedupe:
+        return pts
+    # lexsort and a neighbour mask give np.unique's result ~50x faster
+    pts = pts[np.lexsort((pts.imag, pts.real) if ifs.dim == 2 else pts.T[::-1])]
+    new = pts[1:] != pts[:-1]
+    return pts[np.concatenate(([True], new if ifs.dim == 2 else new.any(axis=1)))]
 
 
 def chaos_game(
@@ -444,13 +465,7 @@ def chaos_game(
     z = ifs.maps[0].p
     for _ in range(burn_in):
         z = ifs.maps[gen.index(n)].apply(z)
-    if ifs.dim == 2:
-        out = np.empty(count, dtype=complex)
-        for i in range(count):
-            z = ifs.maps[gen.index(n)].apply(z)
-            out[i] = z
-        return out
-    out = np.empty((count, 3), dtype=float)
+    out = np.empty(count, dtype=complex) if ifs.dim == 2 else np.empty((count, 3))
     for i in range(count):
         z = ifs.maps[gen.index(n)].apply(z)
         out[i] = z

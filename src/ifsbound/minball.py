@@ -61,71 +61,77 @@ def _coordinates(points) -> np.ndarray:
     return cols
 
 
-def _circumcenters(q: np.ndarray, idx: np.ndarray):
-    """Center of the ball through each subset ``q[idx[j]]`` (d+1 indices; a
-    smaller subset repeats its first), in the subset's affine hull, and the
-    rank of its edges ``v_i = q_i - q_0``.  The offset ``x`` solves
-    ``v_i . x = |v_i|^2 / 2`` over a modified Gram-Schmidt basis of the
-    edges, for all subsets at once; an edge within ``_RCOND`` of the span
-    of the earlier ones is dropped, so degenerate subsets stay finite."""
-    base = q[idx[:, 0]]
-    v = q[idx[:, 1:]] - base[:, None, :]
-    length2 = np.einsum("sij,sij->si", v, v)
-    x = np.zeros_like(base)
-    basis, rank = [], 0
-    for i in range(q.shape[1]):
-        edge = v[:, i]
-        w = edge.copy()
-        for e in basis:
-            w -= (w * e).sum(axis=1)[:, None] * e
-        norm = np.sqrt((w * w).sum(axis=1))
-        ok = norm * norm > _RCOND**2 * length2[:, i]
-        inv = ok / np.where(ok, norm, 1.0)
-        e = w * inv[:, None]
-        # edge . e = norm, so this step makes edge . x = |edge|^2 / 2
-        x += ((0.5 * length2[:, i] - (edge * x).sum(axis=1)) * inv)[:, None] * e
-        basis.append(e)
-        rank = rank + ok
-    centers = base + x
-    # a pair gets its exact midpoint, as the mean of two points does, so
-    # that center strategies which agree in exact arithmetic tie exactly
-    pair = np.count_nonzero(idx[:, 1:] != idx[:, :1], axis=1) == 1
-    centers[pair] = (base[pair] + q[idx[pair, 1]]) / 2.0
-    return centers, rank
+def _point(cols: np.ndarray, i: int) -> tuple:
+    """Point ``i`` as ``(x, y, z)``; ``z = 0`` for a plane point keeps every
+    sum the kernel forms exact, so one kernel serves both dimensions."""
+    return (*cols[:, i].tolist(), 0.0)[:3]
 
 
 @lru_cache(maxsize=None)
-def _subsets(d: int, size: int) -> np.ndarray:
-    """Index rows of every subset of ``range(size)`` that holds the last
-    index and at most d others, smallest subsets first (the full set last
-    when size <= d+1)."""
+def _subsets(d: int, size: int) -> tuple:
+    """Every subset of ``range(size)`` that holds the last index, led by it,
+    and at most d others; smallest first (all of them last if size <= d+1)."""
     last = size - 1
-    rows = [
-        [last, *others] + [last] * (d - len(others))
-        for m in range(min(d, last) + 1)
-        for others in combinations(range(last), m)
-    ]
-    idx = np.array(rows, dtype=np.intp)
-    idx.setflags(write=False)
-    return idx
+    others = (o for m in range(min(d, last) + 1) for o in combinations(range(last), m))
+    return tuple((last, *o) for o in others)
 
 
-def _pivot(q: np.ndarray):
+def _centers(q, d: int):
+    """Center (in the affine hull) and edge rank of each ``_subsets`` subset
+    of the points ``q`` (see :func:`_point`).  The offset ``x`` from the last
+    point solves ``v . x = |v|^2 / 2`` for its edges ``v`` over a modified
+    Gram-Schmidt basis, built from the prefix's basis plus one edge; an edge
+    within ``_RCOND`` of the earlier span is dropped, so degenerate subsets
+    stay finite.  A pair gets its exact midpoint, as the mean of two points
+    does, so center strategies that agree in exact arithmetic tie exactly."""
+    bx, by, bz = q[-1]
+    edges = [(x - bx, y - by, z - bz) for x, y, z in q]
+    state = {(): ((), (0.0, 0.0, 0.0))}
+    for sub in _subsets(d, len(q)):
+        basis, (x0, x1, x2) = state[sub[:-1]]
+        vx, vy, vz = edges[sub[-1]]
+        length2 = vx * vx + vy * vy + vz * vz
+        wx, wy, wz = vx, vy, vz
+        for ex, ey, ez in basis:
+            t = wx * ex + wy * ey + wz * ez
+            wx, wy, wz = wx - t * ex, wy - t * ey, wz - t * ez
+        norm = math.sqrt(wx * wx + wy * wy + wz * wz)
+        if norm * norm > _RCOND**2 * length2:
+            inv = 1.0 / norm
+            ex, ey, ez = wx * inv, wy * inv, wz * inv
+            # v . e = norm, so this step makes v . x = |v|^2 / 2
+            s = (0.5 * length2 - (vx * x0 + vy * x1 + vz * x2)) * inv
+            x0, x1, x2 = x0 + s * ex, x1 + s * ey, x2 + s * ez
+            basis += ((ex, ey, ez),)
+        state[sub] = basis, (x0, x1, x2)
+        if len(sub) == 2:
+            yield sub, tuple((a + b) / 2.0 for a, b in zip(q[-1], q[sub[1]])), len(basis)
+        else:
+            yield sub, (bx + x0, by + x1, bz + x2), len(basis)
+
+
+def _pivot(q, d: int):
     """Smallest ball of ``q`` with the last point on its boundary: center,
     squared radius and support indices.  Each candidate is scored by its
     covering radius of all of ``q``, so no degenerate subset can undercut
-    the true ball; ties go to the smallest subset."""
-    idx = _subsets(q.shape[1], len(q))
-    centers, _ = _circumcenters(q, idx)
-    diff = q[None, :, :] - centers[:, None, :]
-    reach = np.einsum("sij,sij->si", diff, diff).max(axis=1)
-    j = int(np.argmin(reach))
-    return centers[j], float(reach[j]), sorted(set(idx[j].tolist()))
+    the true ball; ties go to the first subset.  Scoring stops once a
+    candidate reaches the best score, as it can then no longer win."""
+    best = None
+    for sub, (cx, cy, cz), _ in _centers(q, d):
+        reach = 0.0
+        for x, y, z in reversed(q):  # q[-1] first: the candidate's own radius
+            dx, dy, dz = x - cx, y - cy, z - cz
+            reach = max(reach, dx * dx + dy * dy + dz * dz)
+            if best is not None and reach >= best[1]:
+                break
+        else:
+            best = (cx, cy, cz), reach, sorted(sub)
+    return best
 
 
-def _native(c: np.ndarray):
+def _native(c, d: int):
     """A complex number for a plane point, a 3-vector for a space point."""
-    return complex(c[0], c[1]) if len(c) == 2 else c.copy()
+    return complex(c[0], c[1]) if d == 2 else np.array(c, dtype=float)
 
 
 def min_ball(points) -> tuple:
@@ -140,22 +146,24 @@ def min_ball(points) -> tuple:
     the center to any input point, so every point is covered.
     """
     cols = _coordinates(points)
-    support, c, r2 = [0], cols[:, 0], 0.0
+    d = len(cols)
+    d2, tmp = np.empty((2, cols.shape[1]))  # reused: fresh large arrays page-fault
+    support, c, r2 = [0], _point(cols, 0), 0.0
     while True:
-        d2 = (cols[0] - c[0]) ** 2
-        for axis in range(1, len(cols)):
-            d2 += (cols[axis] - c[axis]) ** 2
+        np.square(np.subtract(cols[0], c[0], out=d2), out=d2)
+        for row, ci in zip(cols[1:], c[1:]):
+            np.add(d2, np.square(np.subtract(row, ci, out=tmp), out=tmp), out=d2)
         k = int(np.argmax(d2))
         if d2[k] <= r2:
             break
         ids = support + [k]
-        center, reach, members = _pivot(cols[:, ids].T)
+        center, reach, members = _pivot([_point(cols, i) for i in ids], d)
         if reach <= r2:
             break
         support, c, r2 = [ids[i] for i in members], center, reach
     support.sort()
-    ball = Ball(_native(c), math.sqrt(d2[k]))
-    points_out = tuple(_native(cols[:, i]) for i in support)
+    ball = Ball(_native(c, d), math.sqrt(d2[k]))
+    points_out = tuple(_native(cols[:, i], d) for i in support)
     return ball, SupportSet(points=points_out, indices=tuple(support))
 
 
@@ -166,12 +174,11 @@ def ball_from_support(points) -> Ball:
     (3D) the circumball.  Degenerate inputs (collinear, coplanar) fall back
     to the smallest ball covering the points, so the function is total.
     """
-    arr = _coordinates(points).T
-    k, d = arr.shape
+    cols = _coordinates(points)
+    d, k = cols.shape
     if k > d + 1:
         raise ValueError(f"at most {d + 1} support points in {d}D, got {k}")
-    centers, rank = _circumcenters(arr, _subsets(d, k)[-1:])
-    if rank[0] < k - 1:
-        return min_ball(arr)[0]
-    c = centers[0]
-    return Ball(_native(c), float(np.max(np.linalg.norm(arr - c, axis=1))))
+    *_, (_, c, rank) = _centers([_point(cols, i) for i in range(k)], d)
+    if rank < k - 1:
+        return min_ball(cols.T)[0]
+    return Ball(_native(c, d), float(np.max(np.linalg.norm(cols.T - c[:d], axis=1))))

@@ -59,6 +59,8 @@ class Line:
                 u.setflags(write=False)
                 object.__setattr__(self, "a", a)
                 object.__setattr__(self, "u", u)
+        if not np.all(np.isfinite(self.a)):
+            raise ValueError("anchor must be a finite point")
 
     @property
     def dim(self) -> int:

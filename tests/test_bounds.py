@@ -27,6 +27,7 @@ from ifsbound import (
     tighten,
     verify_containment,
 )
+from ifsbound.bounds import _word_images
 from conftest import (
     cantor_ifs,
     mixed_bifractal,
@@ -464,6 +465,26 @@ class TestTighten:
         pts = address_points(ifs, 8)
         gap = np.linalg.norm(pts - report.ball.c, axis=1).max()
         assert gap <= report.ball.r + containment_tol(report.ball.r)
+
+
+class TestWordImages:
+    """Depth-L word images come in map-major order: entry i is the word
+    whose letters are the base-n digits of i, first letter most significant,
+    mapped as T_w1(...T_wL(z))."""
+
+    @pytest.mark.parametrize("dim,levels", [(2, 5), (2, 8), (3, 4), (3, 6)])
+    def test_matches_per_word_composition(self, dim, levels):
+        rng = np.random.default_rng(58 + levels)
+        ifs = random_ifs_2d(rng, n=3) if dim == 2 else random_ifs_3d(rng, n=3)
+        z = 0.3 - 0.2j if dim == 2 else np.array([0.3, -0.2, 0.5])
+        centers, factors = _word_images(ifs, z, levels, 10**6)
+        words = _all_words(ifs.n, levels)
+        assert len(centers) == len(factors) == len(words)
+        ref = [apply_word(ifs, w, z) for w in words]
+        ref_centers = np.array([c for c, _ in ref])
+        scale = np.max(np.abs(ref_centers))
+        assert np.max(np.abs(centers - ref_centers)) <= 1e-15 * scale
+        assert factors.tolist() == [f for _, f in ref]
 
 
 def _all_words(n, length):

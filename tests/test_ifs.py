@@ -227,6 +227,22 @@ class TestAddressPoints:
             address_points(cantor_ifs(), 25)
         address_points(cantor_ifs(), 25, budget=2**26 + 1)  # raising it works
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_dedupe_matches_unique(self, dim):
+        # touching maps: neighbouring images share points exactly
+        p = [0, 1, 0.5 + 0.5j] if dim == 2 else [[0, 0, 0], [1, 0, 0], [0.5, 0.5, 0], [0.5, 0.2, 0.5]]
+        if dim == 2:
+            ifs = IfsSystem(maps=tuple(Similitude2(p=q, phi=0.5) for q in p))
+        else:
+            maps = (Similitude3.from_axis_angle(p=q, lam=0.5, axis=[0, 0, 1], angle=0.0) for q in p)
+            ifs = IfsSystem(maps=tuple(maps))
+        for depth in (0, 1, 4, 7):
+            raw = address_points(ifs, depth, dedupe=False)
+            pts = address_points(ifs, depth)
+            ref = np.unique(raw) if dim == 2 else np.unique(raw, axis=0)
+            assert pts.shape == ref.shape and np.array_equal(pts, ref)
+            assert depth == 0 or len(pts) < len(raw)
+
     def test_3d_depth1_shape(self):
         m1 = Similitude3.from_axis_angle(p=[0, 0, 0], lam=0.5, axis=[0, 0, 1], angle=0.3)
         m2 = Similitude3.from_axis_angle(p=[1, 0, 0], lam=0.5, axis=[0, 1, 0], angle=-0.3)

@@ -12,7 +12,8 @@ from ifsbound import (
     min_ball,
     radius_function,
 )
-from conftest import brute_min_ball, cantor_ifs
+from ifsbound import minball
+from conftest import _circumcenter_exact, as_vec, brute_min_ball, cantor_ifs
 
 finite = dict(allow_nan=False, allow_infinity=False)
 coord = st.floats(-10, 10, **finite)
@@ -311,3 +312,73 @@ class TestDegenerateSets:
         t = np.random.default_rng(34).uniform(-1.0, 1.0, 10**4)
         pts = np.stack([t, 2.0 * t + 1.0, -t], axis=1)
         self.check(pts, (t.max() - t.min()) * math.sqrt(6.0) / 2.0)
+
+
+def _small_sets(rng, dim):
+    """(points, degenerate) for every point count the pivot solves
+    (1..d+2): generic sets, sets with a duplicated point, collinear triples
+    and, in 3D, coplanar quadruples."""
+    sets = []
+    for k in range(1, dim + 3):
+        for _ in range(30):
+            pts = random_points(rng, k, dim, 2)
+            sets.append((pts, False))
+            if k > 1:
+                i, j = rng.choice(k, size=2, replace=False)
+                sets.append(([pts[j] if m == i else p for m, p in enumerate(pts)], True))
+    for _ in range(30):
+        a, u, v = rng.uniform(-2, 2, size=(3, dim))
+        sets.append(([a + t * u for t in rng.uniform(-1, 1, 3)], True))
+        if dim == 3:
+            sets.append(([a + s * u + t * v for s, t in rng.uniform(-1, 1, (4, 2))], True))
+    if dim == 2:
+        sets = [([complex(*p) if np.ndim(p) else p for p in pts], flat) for pts, flat in sets]
+    return sets
+
+
+class TestSmallKernel:
+    """The exact solver on every subproblem size, against the oracle."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_min_ball_matches_oracle(self, dim):
+        for pts, _ in _small_sets(np.random.default_rng(40 + dim), dim):
+            ball, support = min_ball(pts)
+            _, r_ref = brute_min_ball(pts)
+            assert ball.r == pytest.approx(r_ref, abs=1e-9)
+            assert len(support.indices) <= dim + 1
+            for p in support.points:
+                assert abs(dist(p, ball.c) - ball.r) <= 1e-9 * (1 + ball.r)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_ball_from_support_matches_oracle(self, dim):
+        for pts, degenerate in _small_sets(np.random.default_rng(50 + dim), dim):
+            if len(pts) > dim + 1:
+                continue
+            b = ball_from_support(pts)
+            if degenerate:  # the smallest covering ball
+                center, r_ref = brute_min_ball(pts)
+            else:
+                vecs = [as_vec(p) for p in pts]
+                center = _circumcenter_exact(vecs)
+                r_ref = max(float(np.linalg.norm(v - center)) for v in vecs)
+            assert np.linalg.norm(as_vec(b.c) - center) <= 1e-9 * (1 + r_ref)
+            assert b.r == pytest.approx(r_ref, abs=1e-9 * (1 + r_ref))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_pivot_every_size(self, dim):
+        # with a boundary point of the smallest ball last, the smallest ball
+        # through that point is the smallest ball of the set
+        sizes = set()
+        for pts, _ in _small_sets(np.random.default_rng(60 + dim), dim):
+            vecs = [as_vec(p) for p in pts]
+            center, r_ref = brute_min_ball(pts)
+            tol = 1e-9 * (1 + r_ref)
+            last = max(i for i, v in enumerate(vecs) if abs(np.linalg.norm(v - center) - r_ref) <= tol)
+            cols = np.array(vecs[:last] + vecs[last + 1 :] + [vecs[last]]).T
+            q = [minball._point(cols, i) for i in range(len(vecs))]
+            c, reach, members = minball._pivot(q, dim)
+            sizes.add(len(q))
+            assert math.sqrt(reach) == pytest.approx(r_ref, abs=tol)
+            assert np.linalg.norm(np.array(c[:dim]) - center) <= tol
+            assert members[-1] == len(q) - 1 and members == sorted(set(members))
+        assert sizes == set(range(1, dim + 3))

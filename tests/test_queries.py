@@ -44,6 +44,16 @@ class TestLine:
         line = Line((0.0, 2.0), (1.0, 0.0))
         assert line.a == 2j and line.u == 1
 
+    def test_non_finite_anchor_rejected_2d(self):
+        for a in (complex(math.nan, 0.0), complex(0.0, math.inf), (math.nan, 0.0)):
+            with pytest.raises(ValueError, match="anchor"):
+                Line(a, 1 + 0j if isinstance(a, complex) else (1.0, 0.0))
+
+    def test_non_finite_anchor_rejected_3d(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="anchor"):
+                Line(np.array([0.0, bad, 0.0]), np.array([1.0, 0.0, 0.0]))
+
 
 class TestLineBallDistance:
     def test_separated(self):
