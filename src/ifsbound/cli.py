@@ -175,8 +175,11 @@ def _sample_points(ifs: IfsSystem, args):
     (chaos game)."""
     _require(args.count is None or args.count >= 0, "--count must be >= 0")
     _require(args.depth is None or args.depth >= 0, "--depth must be >= 0")
+    budget = _budget()
     if args.depth is not None:
-        return address_points(ifs, args.depth, budget=_budget())
+        return address_points(ifs, args.depth, budget=budget)
+    if args.count > budget:
+        raise NodeBudgetExceeded(f"--count {args.count} exceeds the node budget {budget}")
     return chaos_game(ifs, args.count, args.seed)
 
 

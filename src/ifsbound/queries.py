@@ -12,7 +12,6 @@ passes within ``2*eps`` of it.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,19 +113,38 @@ def line_ball_distance(line: Line, b: Ball) -> float:
     return max(0.0, line.distance(b.c) - b.r)
 
 
-def _merge(raw: list) -> tuple:
-    """Merge overlapping intervals; each merged hit keeps the word of its
-    earliest contributing leaf."""
-    raw.sort(key=lambda h: (h.t_lo, h.t_hi))
-    merged: list = []
-    for h in raw:
-        if merged and h.t_lo <= merged[-1].t_hi:
-            last = merged[-1]
-            if h.t_hi > last.t_hi:
-                merged[-1] = HitInterval(last.t_lo, h.t_hi, last.word, last.depth)
-        else:
-            merged.append(h)
-    return tuple(merged)
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched ``a @ b`` as multiply-adds in index order, without BLAS, so a
+    plane product repeats Python's complex multiply bit for bit."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k : k + 1] * b[..., k : k + 1, :]
+    return out
+
+
+def _vec(z) -> np.ndarray:
+    return np.array([z.real, z.imag]) if isinstance(z, complex) else np.asarray(z, float)
+
+
+def _merge(t_lo: np.ndarray, t_hi: np.ndarray, words: list) -> tuple:
+    """Merge overlapping intervals, given in emission order with ``words``
+    holding one word array per emitted block; each merged hit keeps the word
+    of its earliest contributing leaf (``lexsort`` is stable)."""
+    if not len(t_lo):
+        return ()
+    order = np.lexsort((t_hi, t_lo))
+    t_lo, reach = t_lo[order], np.maximum.accumulate(t_hi[order])
+    first = np.flatnonzero(np.concatenate(([True], t_lo[1:] > reach[:-1])))
+    last = np.append(first[1:], len(order)) - 1
+    starts = np.cumsum([0] + [len(w) for w in words[:-1]])
+    block = np.searchsorted(starts, order[first], side="right") - 1
+    row = order[first] - starts[block]
+    return tuple(
+        HitInterval(lo, hi, tuple(words[b][r].tolist()), words[b].shape[1])
+        for lo, hi, b, r in zip(
+            t_lo[first].tolist(), reach[last].tolist(), block.tolist(), row.tolist()
+        )
+    )
 
 
 def intersect_line(
@@ -154,77 +172,47 @@ def intersect_line(
     if min(slack) < -containment_tol(bound.r):
         raise ValueError("bound is not a verified bounding ball")
 
-    def leaf_interval(word, center, radius) -> HitInterval:
-        t0 = line.project(center)
-        d = line.distance(center)
-        h = math.sqrt(max(0.0, radius * radius - d * d))
-        return HitInterval(t0 - h - eps, t0 + h + eps, word, len(word))
-
-    # Each node carries its composed map T_w as an affine pair so children
-    # extend the word on the right: the child ball T_w(T_k(B)) nests inside
-    # the parent ball T_w(B) because T_k(B) is inside B, which is what makes
-    # pruning a node discard exactly its own subtree of the attractor.
-    n = ifs.n
-    out: list = []
-    truncated = False
-    visited = 1
-    if ifs.dim == 2:
-        # T_w(z) = shift + factor * z
-        offsets = [(1.0 - m.phi) * m.p for m in ifs.maps]
-        phis = [m.phi for m in ifs.maps]
-        frontier = [((), 0.0 + 0.0j, 1.0 + 0.0j)]
-
-        def node_ball(shift, factor):
-            return shift + factor * bound.c, abs(factor) * bound.r
-
-        def children(word, shift, factor):
-            return [
-                (word + (k,), shift + factor * offsets[k - 1], factor * phis[k - 1])
-                for k in range(1, n + 1)
-            ]
-
+    # The frontier holds one level of nodes, each with its composed map
+    # T_w(z) = shift + lin @ z and its word.  Children extend the word on the
+    # right: the child ball T_w(T_k(B)) nests inside the parent ball T_w(B)
+    # because T_k(B) is inside B, which is what makes pruning a node discard
+    # exactly its own subtree of the attractor.  A plane factor phi acts as
+    # the matrix [[re, -im], [im, re]].
+    n, dim = ifs.n, ifs.dim
+    if dim == 2:
+        lins = np.array([[[m.phi.real, -m.phi.imag], [m.phi.imag, m.phi.real]]
+                         for m in ifs.maps])
     else:
-        # T_w(z) = shift + scale * rot @ z
-        offsets = [m.p - m.lam * (m.rot @ m.p) for m in ifs.maps]
-        rots = [m.rot for m in ifs.maps]
-        lams = [m.lam for m in ifs.maps]
-        frontier = [((), np.zeros(3), 1.0, np.eye(3))]
-
-        def node_ball(shift, scale, rot):
-            return shift + scale * (rot @ bound.c), scale * bound.r
-
-        def children(word, shift, scale, rot):
-            return [
-                (
-                    word + (k,),
-                    shift + scale * (rot @ offsets[k - 1]),
-                    scale * lams[k - 1],
-                    rot @ rots[k - 1],
-                )
-                for k in range(1, n + 1)
-            ]
-
-    while frontier:
-        survivors = []
-        for node in frontier:
-            center, radius = node_ball(*node[1:])
-            if line.distance(center) - radius <= 0.0:
-                survivors.append((node, center, radius))
-        pending = []
-        for node, center, radius in survivors:
-            if radius <= eps:
-                out.append(leaf_interval(node[0], center, radius))
-            else:
-                pending.append((node, center, radius))
-        if not pending:
+        lins = np.array([m.lam * m.rot for m in ifs.maps])
+    offsets = _mul(np.eye(dim) - lins, np.array([_vec(m.p) for m in ifs.maps])[..., None])
+    c, a, u = _vec(bound.c)[:, None], _vec(line.a), _vec(line.u)
+    keys = np.arange(1, n + 1, dtype=np.min_scalar_type(n))
+    shift, lin, words = np.zeros((1, dim)), np.eye(dim)[None], np.empty((1, 0), keys.dtype)
+    t_lo, t_hi, emitted = [], [], []
+    visited = 1
+    while True:
+        center = shift + _mul(lin, c)[..., 0]
+        radius = np.hypot.reduce(lin[:, :, 0], axis=1) * bound.r
+        t0 = _mul((center - a)[:, None], u[:, None])[:, 0, 0]
+        gap = np.hypot.reduce(center - (a + t0[:, None] * u), axis=1)
+        h = np.sqrt(np.maximum(0.0, radius * radius - gap * gap))
+        hit = gap - radius <= 0.0
+        pending = hit & (radius > eps)
+        count = int(np.count_nonzero(pending))
+        truncated = visited + n * count > budget
+        # leaves first, then on cutoff the unexpanded nodes of this level
+        for keep in (hit & ~pending, pending) if truncated else (hit & ~pending,):
+            t_lo.append(t0[keep] - h[keep] - eps)
+            t_hi.append(t0[keep] + h[keep] + eps)
+            emitted.append(words[keep])
+        if not count or truncated:
             break
-        if visited + n * len(pending) > budget:
-            truncated = True
-            out.extend(
-                leaf_interval(node[0], center, radius)
-                for node, center, radius in pending
-            )
-            break
-        visited += n * len(pending)
-        frontier = [child for node, _, _ in pending for child in children(*node)]
-    return LineIntersection(intervals=_merge(out), truncated=truncated)
+        visited += n * count
+        lin = lin[pending, None]
+        shift = (shift[pending, None] + _mul(lin, offsets)[..., 0]).reshape(-1, dim)
+        lin = _mul(lin, lins).reshape(-1, dim, dim)
+        words = np.column_stack((np.repeat(words[pending], n, axis=0), np.tile(keys, count)))
+    return LineIntersection(
+        intervals=_merge(np.concatenate(t_lo), np.concatenate(t_hi), emitted),
+        truncated=truncated,
+    )

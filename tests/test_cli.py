@@ -421,6 +421,20 @@ def test_hostile_numbers_are_usage_errors(argv, cantor_file, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["sample", "render"])
+def test_count_beyond_budget_is_domain_error(command, cantor_file, tmp_path, capsys, monkeypatch):
+    out = ["--out", str(tmp_path / "x.svg")] if command == "render" else []
+    code = main([command, "--input", cantor_file, *out, "--count", "100000000000000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    monkeypatch.setenv("IFSBOUND_NODE_BUDGET", "50")
+    assert main([command, "--input", cantor_file, *out, "--count", "51"]) == 1
+    assert main([command, "--input", cantor_file, *out, "--count", "50"]) == 0
+
+
 def test_non_finite_numbers_never_serialized():
     assert _jnum(-0.0) == "0"
     for bad in (float("nan"), float("inf"), -float("inf")):

@@ -224,8 +224,8 @@ class TestAddressPoints:
 
     def test_budget_exceeded(self):
         with pytest.raises(NodeBudgetExceeded):
-            address_points(cantor_ifs(), 25)
-        address_points(cantor_ifs(), 25, budget=2**26 + 1)  # raising it works
+            address_points(cantor_ifs(), 19)  # 2^20 points, just above the default
+        address_points(cantor_ifs(), 19, budget=2**20)  # raising it works
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_dedupe_matches_unique(self, dim):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from ifsbound import (
     Ball,
     HitInterval,
+    IfsSystem,
     Line,
     address_points,
     best_bounding_ball,
@@ -13,6 +15,8 @@ from ifsbound import (
     general_bounding_ball,
     intersect_line,
     line_ball_distance,
+    Similitude2,
+    Similitude3,
 )
 from conftest import cantor_ifs, random_ifs_2d, random_ifs_3d
 
@@ -189,6 +193,43 @@ class TestIntersectProperties:
         pts = address_points(ifs, 10)
         for z in pts:
             assert covered(z.real, result.intervals)
+
+    def test_truncation_emits_only_the_cutoff_depth(self):
+        # 1 + 2 + 4 + 8 + 16 = 31 nodes fit a budget of 40; the next level does not
+        result = intersect_line(
+            cantor_ifs(), Line(0j, 1 + 0j), eps=1e-4, bound=Ball(0.5, 0.5), budget=40
+        )
+        assert result.truncated
+        assert len(result.intervals) == 16
+        assert {h.depth for h in result.intervals} == {4}
+
+    @pytest.mark.parametrize("budget", [100, 10**6])
+    def test_plane_system_and_its_3d_embedding_agree(self, budget):
+        specs = [(0j, 0.45, 0.3), (1 + 0j, 0.45, -1.1), (0.5 + 0.8j, 0.45, 2.0)]
+        plane = IfsSystem(
+            maps=tuple(Similitude2(p=p, phi=lam * cmath.exp(1j * angle)) for p, lam, angle in specs)
+        )
+        space = IfsSystem(
+            maps=tuple(
+                Similitude3.from_axis_angle(p=[p.real, p.imag, 0.0], lam=lam, axis=[0, 0, 1], angle=angle)
+                for p, lam, angle in specs
+            )
+        )
+        bound = best_bounding_ball(plane).ball
+        a, u = 0.5 + 0.3j, cmath.exp(0.2j)
+        flat = intersect_line(plane, Line(a, u), eps=1e-3, bound=bound, budget=budget)
+        deep = intersect_line(
+            space,
+            Line(np.array([a.real, a.imag, 0.0]), np.array([u.real, u.imag, 0.0])),
+            eps=1e-3,
+            bound=Ball(np.array([bound.c.real, bound.c.imag, 0.0]), bound.r),
+            budget=budget,
+        )
+        assert flat.truncated == deep.truncated == (budget == 100)
+        assert len(flat.intervals) >= 10
+        assert [h.word for h in flat.intervals] == [h.word for h in deep.intervals]
+        for a, b in zip(flat.intervals, deep.intervals):
+            assert abs(a.t_lo - b.t_lo) <= 1e-12 and abs(a.t_hi - b.t_hi) <= 1e-12
 
     def test_sorted_deterministic_output(self):
         ifs = cantor_ifs()
