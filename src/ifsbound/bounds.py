@@ -112,20 +112,23 @@ def verify_containment(ifs: IfsSystem, b: Ball) -> tuple:
     """
     if ifs.dim != b.dim:
         raise ValueError("system and ball dimensions differ")
-    mus = mu_values(ifs)
-    return tuple(
-        (1.0 - m.lam) * b.r - mu * dist(b.c, m.p)
-        for m, mu in zip(ifs.maps, mus)
-    )
+    return _slack(ifs, b, mu_values(ifs))
 
 
-def _report(ifs, ball, method, notes=()) -> BoundReport:
+def _slack(ifs: IfsSystem, b: Ball, mus: tuple) -> tuple:
+    return tuple((1.0 - m.lam) * b.r - mu * dist(b.c, m.p) for m, mu in zip(ifs.maps, mus))
+
+
+def _report(ifs, ball, method, notes=(), mus=None) -> BoundReport:
+    """A report on ``ball``; ``mus`` is ``mu_values(ifs)`` if the caller
+    has it already."""
+    mus = mu_values(ifs) if mus is None else mus
     return BoundReport(
         ball=ball,
         method=method,
-        slack=verify_containment(ifs, ball),
+        slack=_slack(ifs, ball, mus),
         lambda_star=ifs.lambda_star,
-        mu_star=mu_star(ifs),
+        mu_star=max(mus),
         notes=tuple(notes),
     )
 
@@ -168,9 +171,8 @@ def general_bounding_ball(ifs: IfsSystem, center: str = "optimal") -> BoundRepor
     ``best`` evaluates all three and keeps the smallest resulting radius.
     Works in the plane and in space.
     """
-    lam_s = ifs.lambda_star
-    mu_s = mu_star(ifs)
-    scale = mu_s / (1.0 - lam_s)
+    mus = mu_values(ifs)
+    scale = max(mus) / (1.0 - ifs.lambda_star)
 
     def candidates():
         if center in ("optimal", "best"):
@@ -192,7 +194,7 @@ def general_bounding_ball(ifs: IfsSystem, center: str = "optimal") -> BoundRepor
         if best is None or rho < best[2]:
             best = (method, c, rho)
     method, c, rho = best
-    return _report(ifs, Ball(c, scale * rho), method)
+    return _report(ifs, Ball(c, scale * rho), method, mus=mus)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +361,18 @@ def best_bounding_ball(ifs: IfsSystem) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def _word_images(ifs: IfsSystem, z, levels: int, budget: int):
-    """Centers and contraction factors of all depth-``levels`` compositions."""
-    _check_budget(ifs.n**levels, budget)
-    factors = np.ones(ifs.n**levels)
-    return _word_tree_images(ifs, np.array([z]), levels, factors), factors
+def _word_images(ifs: IfsSystem, z, levels: int, budget: int, spare: int = 0):
+    """Centers and contraction factors of all depth-``levels`` compositions,
+    then ``spare`` free rows of their length: views of one float buffer, so
+    a caller's work arrays cost no allocation of their own."""
+    size = ifs.n**levels
+    _check_budget(size, budget)
+    buf = np.empty((ifs.dim + 1 + spare, size))
+    centers = buf[:2].reshape(-1).view(complex) if ifs.dim == 2 else buf[:3].reshape(size, 3)
+    factors = buf[ifs.dim]
+    centers[0], factors[0] = z, 1.0
+    _word_tree_images(ifs, centers, levels, factors)
+    return (centers, factors, *buf[ifs.dim + 1 :])
 
 
 def tighten(
@@ -392,17 +401,21 @@ def tighten(
         raise ValueError("levels must be >= 0")
     if ifs.dim != b.dim:
         raise ValueError("system and ball dimensions differ")
-    slack = verify_containment(ifs, b)
+    mus = mu_values(ifs)
+    slack = _slack(ifs, b, mus)
     if min(slack) < -containment_tol(b.r):
         raise ValueError(
             "input ball is not a verified bounding ball "
             f"(min slack {min(slack):.3e})"
         )
-    centers, factors = _word_images(ifs, b.c, levels, budget)
+    centers, factors, reach = _word_images(ifs, b.c, levels, budget, spare=1)
     center_ball, _ = min_ball(centers)
     c_prime = center_ball.c
     diff = np.subtract(centers, c_prime, out=centers)  # min_ball is done with them
-    reach = np.abs(diff) if ifs.dim == 2 else np.sqrt(np.square(diff, out=diff).sum(axis=1))
+    if ifs.dim == 2:
+        np.abs(diff, out=reach)
+    else:
+        np.sqrt(np.square(diff, out=diff).sum(axis=1, out=reach), out=reach)
     reach += np.multiply(factors, b.r, out=factors)
     radius = float(np.max(reach))
     coarse = center_ball.r + ifs.lambda_star**levels * b.r
@@ -413,5 +426,6 @@ def tighten(
             Ball(b.c, b.r),
             "tightened",
             notes=notes + ("refinement did not shrink the ball; input kept",),
+            mus=mus,
         )
-    return _report(ifs, Ball(c_prime, radius), "tightened", notes=notes)
+    return _report(ifs, Ball(c_prime, radius), "tightened", notes=notes, mus=mus)

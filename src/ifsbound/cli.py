@@ -97,6 +97,19 @@ def _emit_record(record: dict) -> None:
     sys.stdout.write(_jval(record) + "\n")
 
 
+def _point_rows(pts: np.ndarray) -> str:
+    """``_jval`` of the coordinate rows of a complex or ``(N, 3)`` point
+    array, formatted flat: the recursion would cost most of a large
+    ``sample``."""
+    flat = pts[:, None].view(float) if pts.dtype == complex else pts
+    bad = flat[~np.isfinite(flat)]
+    if len(bad):
+        _jnum(bad[0])  # raises NonFiniteRecordError
+    row = "[" + ", ".join(["%.12g"] * flat.shape[1]) + "]"  # %.12g is _jnum's format
+    # adding 0.0 turns -0.0 into 0.0 and keeps every other value, as _jnum
+    return "[" + ", ".join(row % tuple(r) for r in (flat + 0.0).tolist()) + "]"
+
+
 def _point_list(c) -> list:
     if isinstance(c, complex):
         return [c.real, c.imag]
@@ -258,11 +271,7 @@ def _cmd_sample(args) -> int:
     if (args.depth is None) == (args.count is None):
         raise IfsDocumentError("give exactly one of --depth or --count")
     pts = _sample_points(ifs, args)  # NodeBudgetExceeded exits 1 from main
-    if ifs.dim == 2:
-        listed = [[z.real, z.imag] for z in pts]
-    else:
-        listed = [list(map(float, row)) for row in pts]
-    _emit_record({"points": listed})
+    sys.stdout.write('{"points": ' + _point_rows(pts) + "}\n")
     return 0
 
 

@@ -390,15 +390,15 @@ def _check_budget(leaves: int, budget: int) -> None:
         )
 
 
-def _word_tree_images(ifs: IfsSystem, start: np.ndarray, levels: int, factors=None):
-    """Images of the points ``start`` (complex, or rows of 3) under all
-    depth-``levels`` compositions, map-major: block ``k`` of a level is map
-    ``k+1`` applied to the level before.  Levels are written in place, last
-    map first, so the source (block 0) goes last.  ``factors``, if given, is
-    filled alike from its first ``len(start)`` entries with contractions."""
-    count, n = len(start), ifs.n
-    out = np.empty((count * n**levels, *start.shape[1:]), dtype=start.dtype)
-    out[:count] = start
+def _word_tree_images(ifs: IfsSystem, out: np.ndarray, levels: int, factors=None):
+    """Fill ``out`` with the images of its first ``len(out) // n**levels``
+    points (complex, or rows of 3) under all depth-``levels`` compositions,
+    map-major: block ``k`` of a level is map ``k+1`` applied to the level
+    before.  Levels are written in place, last map first, so the source
+    (block 0) goes last.  ``factors``, if given, is filled alike from its
+    first entries with contractions."""
+    n = ifs.n
+    count = len(out) // n**levels
     diff = np.empty((len(out) // n, 3)) if ifs.dim == 3 else None
     for _ in range(levels):
         src = out[:count]
@@ -413,7 +413,6 @@ def _word_tree_images(ifs: IfsSystem, start: np.ndarray, levels: int, factors=No
             if factors is not None:
                 np.multiply(factors[:count], m.lam, out=factors[k * count : (k + 1) * count])
         count *= n
-    return out
 
 
 def address_points(
@@ -434,7 +433,10 @@ def address_points(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     _check_budget(ifs.n ** (depth + 1), budget)
-    pts = _word_tree_images(ifs, np.array(ifs.fixed_points), depth)
+    start = np.array(ifs.fixed_points)
+    pts = np.empty((ifs.n ** (depth + 1), *start.shape[1:]), dtype=start.dtype)
+    pts[: ifs.n] = start
+    _word_tree_images(ifs, pts, depth)
     if not dedupe:
         return pts
     # lexsort and a neighbour mask give np.unique's result ~50x faster

@@ -41,8 +41,11 @@ def radius_function(ifs: IfsSystem, z) -> float:
 
 
 def _coordinates(points) -> np.ndarray:
-    """Points as a ``(d, N)`` float array: one row per axis makes the
-    distance pass over all points several times faster than ``(N, d)``."""
+    """Points as a ``(d, N)`` float array, one row per axis.  A complex 1-D
+    or ``(N, 2|3)`` float array is read through a view, never copied (a
+    fresh copy of a large array costs more in page faults than its strided
+    rows cost the distance pass); other input is copied into contiguous
+    rows."""
     items = points if isinstance(points, np.ndarray) else list(points)
     if len(items) == 0:
         raise ValueError("min_ball needs at least one point")
@@ -50,12 +53,12 @@ def _coordinates(points) -> np.ndarray:
         z = np.asarray(items, dtype=complex)
         if z.ndim != 1:
             raise ValueError("bad 2D coordinate")
-        cols = np.stack([z.real, z.imag])
+        cols = z[:, None].view(float).T if z is items else np.stack([z.real, z.imag])
     else:
         arr = np.asarray(items, dtype=float)
         if arr.ndim != 2 or arr.shape[1] not in (2, 3):
             raise ValueError(f"points must be 2D or 3D, got shape {arr.shape[1:]}")
-        cols = np.ascontiguousarray(arr.T)
+        cols = arr.T if arr is items else np.ascontiguousarray(arr.T)
     if not np.all(np.isfinite(cols)):
         raise ValueError("non-finite coordinate")
     return cols

@@ -84,7 +84,7 @@ class Line:
         return float(np.linalg.norm(np.asarray(z, float) - foot))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HitInterval:
     """Line-parameter interval near the attractor, tagged with the leaf word."""
 

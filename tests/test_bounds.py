@@ -28,6 +28,7 @@ from ifsbound import (
     verify_containment,
 )
 from ifsbound.bounds import _word_images
+from ifsbound.ifs import _word_tree_images
 from conftest import (
     cantor_ifs,
     mixed_bifractal,
@@ -465,6 +466,68 @@ class TestTighten:
         pts = address_points(ifs, 8)
         gap = np.linalg.norm(pts - report.ball.c, axis=1).max()
         assert gap <= report.ball.r + containment_tol(report.ball.r)
+
+
+def _tighten_reference(ifs, b, levels):
+    """``tighten`` written with a fresh array for every step: word images,
+    contraction factors, the smallest-ball input (a list, which min_ball
+    copies into coordinate rows) and the reach.  Returns (ball, notes)."""
+    assert min(verify_containment(ifs, b)) >= -containment_tol(b.r)
+    size = ifs.n**levels
+    centers = np.empty(size, dtype=complex) if ifs.dim == 2 else np.empty((size, 3))
+    centers[0] = b.c
+    factors = np.ones(size)
+    _word_tree_images(ifs, centers, levels, factors)
+    center_ball, _ = min_ball(list(centers))
+    c_prime = center_ball.c
+    diff = centers - c_prime
+    reach = np.abs(diff) if ifs.dim == 2 else np.sqrt(np.square(diff).sum(axis=1))
+    reach = reach + factors * b.r
+    radius = float(np.max(reach))
+    coarse = center_ball.r + ifs.lambda_star**levels * b.r
+    notes = (f"coarse radius bound {coarse:.12g}",)
+    if radius > b.r:
+        return Ball(b.c, b.r), notes + ("refinement did not shrink the ball; input kept",)
+    return Ball(c_prime, radius), notes
+
+
+class TestTightenReference:
+    """``tighten`` works in one buffer and reads its word images through a
+    view; it must give what the copying formulation gives, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bit_identical_to_copying_formulation(self, dim):
+        rng = np.random.default_rng(90 + dim)
+        kept = 0
+        for i in range(12):
+            if dim == 2 or i % 2 == 0:
+                ifs = random_ifs_2d(rng, lam_range=(0.05, 0.9))
+            else:
+                ifs = random_ifs_3d(rng, lam_range=(0.05, 0.9))
+            base = best_bounding_ball(ifs).ball
+            if dim == 3 and ifs.dim == 2:
+                # a plane system in space keeps its tight circumcircle, so
+                # the "input kept" branch shows up in 3D too
+                ifs = IfsSystem(
+                    maps=tuple(
+                        Similitude3.from_axis_angle(
+                            p=[m.p.real, m.p.imag, 0.0], lam=m.lam, axis=[0, 0, 1], angle=m.theta
+                        )
+                        for m in ifs.maps
+                    )
+                )
+                base = Ball(np.array([base.c.real, base.c.imag, 0.0]), base.r)
+            for levels in range(7):
+                report = tighten(ifs, base, levels)
+                ball, notes = _tighten_reference(ifs, base, levels)
+                assert np.asarray(report.ball.c).tobytes() == np.asarray(ball.c).tobytes()
+                assert report.ball.r == ball.r
+                assert report.method == "tightened"
+                assert report.notes == notes
+                assert report.slack == verify_containment(ifs, ball)
+                assert report.mu_star == mu_star(ifs)
+                kept += "input kept" in notes[-1]
+        assert kept > 0  # the "input kept" branch is compared too
 
 
 class TestWordImages:

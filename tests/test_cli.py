@@ -9,7 +9,7 @@ import pytest
 
 import ifsbound
 from ifsbound import IfsDocumentError, parse_ifs, serialize_ifs
-from ifsbound.cli import NonFiniteRecordError, _jnum, main
+from ifsbound.cli import NonFiniteRecordError, _jnum, _jval, _point_rows, main
 from conftest import random_ifs_2d, random_ifs_3d
 
 CANTOR_DOC = json.dumps(
@@ -440,6 +440,46 @@ def test_non_finite_numbers_never_serialized():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(NonFiniteRecordError):
             _jnum(bad)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_point_rows_match_jval(dim):
+    rng = np.random.default_rng(70 + dim)
+    rows = rng.normal(size=(300, dim)) * 10.0 ** rng.integers(-300, 300, size=(300, dim))
+    rows[3, 0] = rows[5, -1] = -0.0
+    rows[7] = 0.0
+    if dim == 2:
+        pts = rows.view(complex).ravel()
+        listed = [[z.real, z.imag] for z in pts]
+    else:
+        pts = rows
+        listed = [list(map(float, row)) for row in pts]
+    out = _point_rows(pts)
+    assert out == _jval(listed)
+    assert "-0," not in out and "-0]" not in out
+    assert _point_rows(pts[:0]) == "[]"
+    for bad in (float("nan"), float("inf")):
+        broken = rows.copy()
+        broken[11, -1] = bad
+        with pytest.raises(NonFiniteRecordError, match="non-finite number"):
+            _point_rows(broken.view(complex).ravel() if dim == 2 else broken)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sample_overflow_is_domain_error(dim, tmp_path, capsys):
+    # word images of fixed points at +-1.7e308 overflow to infinity
+    if dim == 2:
+        maps = [{"p": [x, 0], "phi": [0.5, 0]} for x in (1.7e308, -1.7e308)]
+    else:
+        maps = [{"p": [x, 0, 0], "lambda": 0.5, "axis": [0, 0, 1], "angle": 0.0} for x in (1.7e308, -1.7e308)]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dimension": dim, "maps": maps}))
+    with np.errstate(all="ignore"):
+        code = main(["sample", "--input", str(path), "--depth", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: non-finite number")
 
 
 def _run_python(args):
