@@ -34,6 +34,7 @@ from .ifs import (
     Similitude3,
     dist,
     _check_budget,
+    _points,
     _word_tree_images,
 )
 from .minball import min_ball, radius_function
@@ -93,6 +94,7 @@ def mu_norm(m: Similitude3) -> float:
 
 def mu_values(ifs: IfsSystem) -> tuple:
     """Per-map displacement factors mu_k."""
+    # kept per layout: |1 - phi| is a complex modulus, ||I - lam R|| needs the angle
     if ifs.dim == 2:
         return tuple(abs(1.0 - m.phi) for m in ifs.maps)
     return tuple(mu_norm(m) for m in ifs.maps)
@@ -142,10 +144,7 @@ def mean_centers(ifs: IfsSystem):
     """
     pts = ifs.fixed_points
     n = ifs.n
-    if ifs.dim == 2:
-        c_a = sum(pts) / n
-    else:
-        c_a = np.mean(np.array(pts), axis=0)
+    c_a = sum(pts) / n
     rhos = [radius_function(ifs, p) for p in pts]
     if any(rho == 0.0 for rho in rhos) and n > 1:
         warnings.warn(
@@ -368,7 +367,7 @@ def _word_images(ifs: IfsSystem, z, levels: int, budget: int, spare: int = 0):
     size = ifs.n**levels
     _check_budget(size, budget)
     buf = np.empty((ifs.dim + 1 + spare, size))
-    centers = buf[:2].reshape(-1).view(complex) if ifs.dim == 2 else buf[:3].reshape(size, 3)
+    centers = _points(buf[: ifs.dim].reshape(size, ifs.dim))
     factors = buf[ifs.dim]
     centers[0], factors[0] = z, 1.0
     _word_tree_images(ifs, centers, levels, factors)
@@ -412,6 +411,7 @@ def tighten(
     center_ball, _ = min_ball(centers)
     c_prime = center_ball.c
     diff = np.subtract(centers, c_prime, out=centers)  # min_ball is done with them
+    # kept per layout: np.abs of a complex and a row norm round apart
     if ifs.dim == 2:
         np.abs(diff, out=reach)
     else:

@@ -28,6 +28,9 @@ from .ifs import (
     IfsSystem,
     NodeBudgetExceeded,
     DEFAULT_NODE_BUDGET,
+    _as_point,
+    _coords,
+    _rows,
     address_points,
     chaos_game,
     parse_ifs,
@@ -82,10 +85,6 @@ def _jval(v) -> str:
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return _jnum(v)
-    if isinstance(v, complex):
-        return "[" + _jnum(v.real) + ", " + _jnum(v.imag) + "]"
-    if isinstance(v, np.ndarray):
-        return _jval(v.tolist())
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_jval(x) for x in v) + "]"
     if isinstance(v, dict):
@@ -101,7 +100,7 @@ def _point_rows(pts: np.ndarray) -> str:
     """``_jval`` of the coordinate rows of a complex or ``(N, 3)`` point
     array, formatted flat: the recursion would cost most of a large
     ``sample``."""
-    flat = pts[:, None].view(float) if pts.dtype == complex else pts
+    flat = _rows(pts)
     bad = flat[~np.isfinite(flat)]
     if len(bad):
         _jnum(bad[0])  # raises NonFiniteRecordError
@@ -110,16 +109,10 @@ def _point_rows(pts: np.ndarray) -> str:
     return "[" + ", ".join(row % tuple(r) for r in (flat + 0.0).tolist()) + "]"
 
 
-def _point_list(c) -> list:
-    if isinstance(c, complex):
-        return [c.real, c.imag]
-    return [float(v) for v in c]
-
-
 def _report_record(report: BoundReport) -> dict:
     return {
         "method": report.method,
-        "center": _point_list(report.ball.c),
+        "center": _coords(report.ball.c).tolist(),
         "radius": report.ball.r,
         "slack": list(report.slack),
         "lambda_star": report.lambda_star,
@@ -163,14 +156,8 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _ball_from_args(ifs: IfsSystem, args) -> Ball:
-    center = args.center
-    if len(center) != ifs.dim:
-        raise IfsDocumentError(
-            f"--center needs {ifs.dim} coordinates for this system"
-        )
-    c = complex(center[0], center[1]) if ifs.dim == 2 else np.array(center)
     try:
-        return Ball(c, args.radius)
+        return Ball(_as_point(args.center, ifs.dim, "center"), args.radius)
     except ValueError as exc:
         raise IfsDocumentError(f"--center/--radius: {exc}") from None
 
@@ -202,7 +189,7 @@ def _cmd_bound(args) -> int:
         report = best_bounding_ball(ifs)
     elif args.method == "general":
         report = general_bounding_ball(ifs, center=args.center)
-    else:  # circum; CircumcircleError exits 1 from main
+    else:
         report = circumcircle(ifs)
     _emit_record(_report_record(report))
     return 0
@@ -215,7 +202,7 @@ def _cmd_verify(args) -> int:
     ok = min(slack) >= -containment_tol(ball.r)
     _emit_record(
         {
-            "center": _point_list(ball.c),
+            "center": _coords(ball.c).tolist(),
             "radius": ball.r,
             "slack": list(slack),
             "lambda_star": ifs.lambda_star,
@@ -234,11 +221,7 @@ def _cmd_tighten(args) -> int:
         ball = _ball_from_args(ifs, args)
     else:
         ball = best_bounding_ball(ifs).ball
-    try:
-        report = tighten(ifs, ball, args.levels, budget=_budget())
-    except (ValueError, NodeBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = tighten(ifs, ball, args.levels, budget=_budget())
     _emit_record(_report_record(report))
     return 0
 
@@ -252,11 +235,7 @@ def _cmd_intersect(args) -> int:
         math.isfinite(args.eps) and args.eps > 0.0, "--eps must be a finite number > 0"
     )
     line = _line_from_args(args.line)
-    try:
-        result = intersect_line(ifs, line, args.eps, budget=_budget())
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = intersect_line(ifs, line, args.eps, budget=_budget())
     _emit_record(
         {
             "intervals": [[h.t_lo, h.t_hi] for h in result.intervals],
@@ -270,7 +249,7 @@ def _cmd_sample(args) -> int:
     ifs = _load_system(args.input)
     if (args.depth is None) == (args.count is None):
         raise IfsDocumentError("give exactly one of --depth or --count")
-    pts = _sample_points(ifs, args)  # NodeBudgetExceeded exits 1 from main
+    pts = _sample_points(ifs, args)
     sys.stdout.write('{"points": ' + _point_rows(pts) + "}\n")
     return 0
 
@@ -281,7 +260,7 @@ def _cmd_render(args) -> int:
         print("error: rendering is 2D only", file=sys.stderr)
         return 1
     pts = _sample_points(ifs, args)
-    layers = [PointCloud(points=tuple(pts), radius_px=1.0)]
+    layers = [PointCloud(points=pts, radius_px=1.0)]
     general = general_bounding_ball(ifs, center="best")
     layers.append(CircleOutline(ball=general.ball, color=GENERAL_COLOR))
     try:
@@ -379,11 +358,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # overflow shows as the error it causes, not as NumPy warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except IfsDocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CircumcircleError, NodeBudgetExceeded, NonFiniteRecordError) as exc:
+    except (ValueError, ArithmeticError, NodeBudgetExceeded) as exc:
+        # also CircumcircleError, NonFiniteRecordError, float OverflowError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,10 @@
 """Similitude IFS data model, JSON documents, map application, and sampling.
 
 2D points are plain Python complex numbers; 3D points are float64 NumPy
-vectors of shape (3,).  A map is a contraction ``z -> p + phi*(z - p)`` in
-the plane (``phi = lam * exp(i*theta)``, ``0 < lam < 1``) or
+vectors of shape (3,).  Only this module knows that format: the other
+modules read and build points through its private converters below.  A map
+is a contraction ``z -> p + phi*(z - p)`` in the plane
+(``phi = lam * exp(i*theta)``, ``0 < lam < 1``) or
 ``z -> p + lam * R @ (z - p)`` in space with ``R`` a proper rotation.
 
 Address words are tuples of 1-based map indices; word ``(w1, ..., wL)``
@@ -32,15 +34,64 @@ class NodeBudgetExceeded(RuntimeError):
     """Raised when a tree enumeration would produce more leaves than allowed."""
 
 
-def _as_point3(value) -> np.ndarray:
-    v = np.asarray(value, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite coordinate")
-    v = v.copy()
-    v.setflags(write=False)
-    return v
+_NUMBER = (complex, float, int)  # a plane point given as one number
+
+
+def _as_point(value, dim=None, name="point") -> Point:
+    """``value`` in the point format: a number or a real pair becomes a
+    finite ``complex``, a 3-sequence a finite read-only ``(3,)`` float copy.
+    ``dim``, if given, is the dimension the point must have."""
+    # plain Python floats where possible: NumPy calls cost microseconds each
+    if isinstance(value, _NUMBER):
+        z = complex(value)
+        finite = cmath.isfinite(z)
+    else:
+        v = np.array(value, dtype=float)
+        if v.shape not in ((2,), (3,)):
+            raise ValueError(f"{name} must be a number, a real pair or a 3-vector, got shape {v.shape}")
+        v.setflags(write=False)
+        xs = v.tolist()
+        finite = all(map(math.isfinite, xs))
+        z = complex(*xs) if len(xs) == 2 else v
+    if not finite:
+        raise ValueError(f"non-finite {name}")
+    if dim is not None and point_dim(z) != dim:
+        raise ValueError(f"expected a {dim}D {name}, got a {point_dim(z)}D one")
+    return z
+
+
+def _as_direction(value, dim: int) -> Point:
+    """A nonzero direction of dimension ``dim`` scaled to unit length.  A
+    number is divided by its modulus, a sequence by its vector norm, as the
+    two round apart."""
+    u = _as_point(value, dim, "direction")
+    scalar = isinstance(value, _NUMBER)
+    norm = abs(u) if scalar else float(np.linalg.norm(_coords(u)))
+    if not 0.0 < norm < math.inf:
+        raise ValueError("direction must be nonzero, with a finite length")
+    return u / norm if scalar else _as_point(_coords(u) / norm)
+
+
+def _coords(z: Point) -> np.ndarray:
+    """A point as a float vector of its coordinates."""
+    return np.array([z.real, z.imag]) if isinstance(z, complex) else np.asarray(z, float)
+
+
+def _rows(pts) -> np.ndarray:
+    """Points as an ``(N, d)`` float array: a view, not a copy, of a complex
+    1-D array or of a float ``(N, 2|3)`` array of coordinate rows.  A real
+    1-D array holds points on the real axis."""
+    a = np.asarray(pts)
+    if a.ndim == 1:
+        return a.astype(complex, copy=False)[:, None].view(float)
+    if a.ndim != 2 or a.shape[1] not in (2, 3) or a.dtype.kind == "c":
+        raise ValueError(f"points must be 2D or 3D, got shape {a.shape[1:]}")
+    return a.astype(float, copy=False)
+
+
+def _points(rows: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_rows` on C-ordered rows: a complex view, or the rows."""
+    return rows.view(complex)[:, 0] if rows.shape[1] == 2 else rows
 
 
 @dataclass(frozen=True)
@@ -89,7 +140,7 @@ class Similitude3:
     rot: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _as_point3(self.p))
+        object.__setattr__(self, "p", _as_point(self.p, 3, "fixed point"))
         object.__setattr__(self, "lam", float(self.lam))
         rot = np.asarray(self.rot, dtype=float)
         if rot.shape != (3, 3):
@@ -317,28 +368,24 @@ class Ball:
     r: float
 
     def __post_init__(self):
-        if isinstance(self.c, (complex, float, int)):
-            object.__setattr__(self, "c", complex(self.c))
-            if not cmath.isfinite(self.c):
-                raise ValueError("non-finite center")
-        else:
-            object.__setattr__(self, "c", _as_point3(self.c))
+        object.__setattr__(self, "c", _as_point(self.c, name="center"))
         object.__setattr__(self, "r", float(self.r))
         if not (self.r >= 0.0 and math.isfinite(self.r)):
             raise ValueError(f"radius must be finite and >= 0, got {self.r}")
 
     @property
     def dim(self) -> int:
-        return 2 if isinstance(self.c, complex) else 3
+        return point_dim(self.c)
 
 
 def point_dim(z: Point) -> int:
-    return 2 if isinstance(z, (complex, float, int)) else 3
+    return 2 if isinstance(z, _NUMBER) else 3
 
 
 def dist(a: Point, b: Point) -> float:
     """Euclidean distance, dimension-aware."""
-    if isinstance(a, (complex, float, int)):
+    # kept per layout: a complex modulus and a vector norm round apart
+    if isinstance(a, _NUMBER):
         return abs(complex(a) - complex(b))
     return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
 
@@ -399,6 +446,8 @@ def _word_tree_images(ifs: IfsSystem, out: np.ndarray, levels: int, factors=None
     first entries with contractions."""
     n = ifs.n
     count = len(out) // n**levels
+    # kept per layout: a complex multiply is not a 2x2 matmul bit for bit,
+    # and real (N, 2) rows measured 10x slower (ROADMAP "decided against")
     diff = np.empty((len(out) // n, 3)) if ifs.dim == 3 else None
     for _ in range(levels):
         src = out[:count]
@@ -433,16 +482,15 @@ def address_points(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     _check_budget(ifs.n ** (depth + 1), budget)
-    start = np.array(ifs.fixed_points)
-    pts = np.empty((ifs.n ** (depth + 1), *start.shape[1:]), dtype=start.dtype)
-    pts[: ifs.n] = start
+    pts = _points(np.empty((ifs.n ** (depth + 1), ifs.dim)))
+    pts[: ifs.n] = ifs.fixed_points
     _word_tree_images(ifs, pts, depth)
     if not dedupe:
         return pts
     # lexsort and a neighbour mask give np.unique's result ~50x faster
-    pts = pts[np.lexsort((pts.imag, pts.real) if ifs.dim == 2 else pts.T[::-1])]
-    new = pts[1:] != pts[:-1]
-    return pts[np.concatenate(([True], new if ifs.dim == 2 else new.any(axis=1)))]
+    pts = pts[np.lexsort(_rows(pts).T[::-1])]
+    rows = _rows(pts)
+    return pts[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))]
 
 
 def chaos_game(
@@ -467,7 +515,7 @@ def chaos_game(
     z = ifs.maps[0].p
     for _ in range(burn_in):
         z = ifs.maps[gen.index(n)].apply(z)
-    out = np.empty(count, dtype=complex) if ifs.dim == 2 else np.empty((count, 3))
+    out = _points(np.empty((count, ifs.dim)))
     for i in range(count):
         z = ifs.maps[gen.index(n)].apply(z)
         out[i] = z

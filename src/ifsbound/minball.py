@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .ifs import Ball, IfsSystem, dist
+from .ifs import Ball, IfsSystem, _as_point, _rows, dist
 
 # an edge whose part off the span of the earlier edges is below this
 # fraction of its length counts as degenerate (flat simplex)
@@ -41,24 +41,12 @@ def radius_function(ifs: IfsSystem, z) -> float:
 
 
 def _coordinates(points) -> np.ndarray:
-    """Points as a ``(d, N)`` float array, one row per axis.  A complex 1-D
-    or ``(N, 2|3)`` float array is read through a view, never copied (a
-    fresh copy of a large array costs more in page faults than its strided
-    rows cost the distance pass); other input is copied into contiguous
-    rows."""
-    items = points if isinstance(points, np.ndarray) else list(points)
-    if len(items) == 0:
+    """Points as a ``(d, N)`` float array, one row per axis.  Array input is
+    read through a view, never copied (a fresh copy of a large array costs
+    more in page faults than its strided rows cost the distance pass)."""
+    cols = _rows(points if isinstance(points, np.ndarray) else list(points)).T
+    if cols.shape[1] == 0:
         raise ValueError("min_ball needs at least one point")
-    if isinstance(items[0], (complex, float, int)):
-        z = np.asarray(items, dtype=complex)
-        if z.ndim != 1:
-            raise ValueError("bad 2D coordinate")
-        cols = z[:, None].view(float).T if z is items else np.stack([z.real, z.imag])
-    else:
-        arr = np.asarray(items, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] not in (2, 3):
-            raise ValueError(f"points must be 2D or 3D, got shape {arr.shape[1:]}")
-        cols = arr.T if arr is items else np.ascontiguousarray(arr.T)
     if not np.all(np.isfinite(cols)):
         raise ValueError("non-finite coordinate")
     return cols
@@ -132,11 +120,6 @@ def _pivot(q, d: int):
     return best
 
 
-def _native(c, d: int):
-    """A complex number for a plane point, a 3-vector for a space point."""
-    return complex(c[0], c[1]) if d == 2 else np.array(c, dtype=float)
-
-
 def min_ball(points) -> tuple:
     """Smallest enclosing ball of a nonempty point set.
 
@@ -165,8 +148,8 @@ def min_ball(points) -> tuple:
             break
         support, c, r2 = [ids[i] for i in members], center, reach
     support.sort()
-    ball = Ball(_native(c, d), math.sqrt(d2[k]))
-    points_out = tuple(_native(cols[:, i], d) for i in support)
+    ball = Ball(c[:d], math.sqrt(d2[k]))
+    points_out = tuple(_as_point(cols[:, i]) for i in support)
     return ball, SupportSet(points=points_out, indices=tuple(support))
 
 
@@ -184,4 +167,4 @@ def ball_from_support(points) -> Ball:
     *_, (_, c, rank) = _centers([_point(cols, i) for i in range(k)], d)
     if rank < k - 1:
         return min_ball(cols.T)[0]
-    return Ball(_native(c, d), float(np.max(np.linalg.norm(cols.T - c[:d], axis=1))))
+    return Ball(c[:d], float(np.max(np.linalg.norm(cols.T - c[:d], axis=1))))

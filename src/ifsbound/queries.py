@@ -11,7 +11,6 @@ passes within ``2*eps`` of it.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,10 @@ from .ifs import (
     Ball,
     IfsSystem,
     DEFAULT_NODE_BUDGET,
+    _as_direction,
+    _as_point,
+    _coords,
+    _rows,
     point_dim,
 )
 from .bounds import best_bounding_ball, containment_tol, verify_containment
@@ -33,33 +36,9 @@ class Line:
     u: object
 
     def __post_init__(self):
-        if isinstance(self.a, (complex, float, int)):
-            a = complex(self.a)
-            u = complex(self.u)
-            norm = abs(u)
-            if norm == 0.0 or not cmath.isfinite(u):
-                raise ValueError("direction must be a nonzero finite vector")
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "u", u / norm)
-        else:
-            a = np.asarray(self.a, dtype=float).copy()
-            u = np.asarray(self.u, dtype=float).copy()
-            if a.shape != u.shape or a.shape not in ((2,), (3,)):
-                raise ValueError("anchor and direction must both be 2- or 3-vectors")
-            norm = float(np.linalg.norm(u))
-            if norm == 0.0 or not np.all(np.isfinite(u)):
-                raise ValueError("direction must be a nonzero finite vector")
-            u = u / norm
-            if a.shape == (2,):
-                object.__setattr__(self, "a", complex(a[0], a[1]))
-                object.__setattr__(self, "u", complex(u[0], u[1]))
-            else:
-                a.setflags(write=False)
-                u.setflags(write=False)
-                object.__setattr__(self, "a", a)
-                object.__setattr__(self, "u", u)
-        if not np.all(np.isfinite(self.a)):
-            raise ValueError("anchor must be a finite point")
+        a = _as_point(self.a, name="anchor")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "u", _as_direction(self.u, point_dim(a)))
 
     @property
     def dim(self) -> int:
@@ -70,6 +49,7 @@ class Line:
 
     def project(self, z) -> float:
         """Parameter of the orthogonal projection of ``z`` onto the line."""
+        # kept per layout: a complex dot and np.dot round apart
         if self.dim == 2:
             d = z - self.a
             return d.real * self.u.real + d.imag * self.u.imag
@@ -79,6 +59,7 @@ class Line:
         """Orthogonal distance from a point to the line."""
         t = self.project(z)
         foot = self.at(t)
+        # kept per layout: a complex modulus and a vector norm round apart
         if self.dim == 2:
             return abs(z - foot)
         return float(np.linalg.norm(np.asarray(z, float) - foot))
@@ -120,10 +101,6 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k in range(1, a.shape[-1]):
         out += a[..., :, k : k + 1] * b[..., k : k + 1, :]
     return out
-
-
-def _vec(z) -> np.ndarray:
-    return np.array([z.real, z.imag]) if isinstance(z, complex) else np.asarray(z, float)
 
 
 def _merge(t_lo: np.ndarray, t_hi: np.ndarray, words: list) -> tuple:
@@ -184,8 +161,8 @@ def intersect_line(
                          for m in ifs.maps])
     else:
         lins = np.array([m.lam * m.rot for m in ifs.maps])
-    offsets = _mul(np.eye(dim) - lins, np.array([_vec(m.p) for m in ifs.maps])[..., None])
-    c, a, u = _vec(bound.c)[:, None], _vec(line.a), _vec(line.u)
+    offsets = _mul(np.eye(dim) - lins, _rows(ifs.fixed_points)[..., None])
+    c, a, u = _coords(bound.c)[:, None], _coords(line.a), _coords(line.u)
     keys = np.arange(1, n + 1, dtype=np.min_scalar_type(n))
     shift, lin, words = np.zeros((1, dim)), np.eye(dim)[None], np.empty((1, 0), keys.dtype)
     t_lo, t_hi, emitted = [], [], []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs import Ball
+from .ifs import Ball, _rows
 from .queries import Line
 
 CIRCUM_COLOR = "#d62728"  # circumcircles render red
@@ -26,7 +26,10 @@ class PointCloud:
     color: str = "#202020"
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(complex(p) for p in np.asarray(self.points, dtype=complex).ravel()))
+        rows = _rows(self.points)
+        if rows.shape[1] != 2 or not np.isfinite(rows).all():
+            raise ValueError("a point cloud holds finite plane points")
+        object.__setattr__(self, "points", tuple(map(complex, *rows.T.tolist())))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ifsbound
 from ifsbound import IfsDocumentError, parse_ifs, serialize_ifs
@@ -506,3 +512,126 @@ def test_module_entry_point_writes_one_error_line(tmp_path):
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot read")
+
+
+def _huge_document(dim) -> str:
+    # word images of fixed points at +-1.7e308 overflow to infinity
+    if dim == 2:
+        maps = [{"p": [x, 0], "phi": [0.5, 0]} for x in (1.7e308, -1.7e308)]
+    else:
+        maps = [{"p": [x, 0, 0], "lambda": 0.5, "axis": [0, 0, 1], "angle": 0.0} for x in (1.7e308, -1.7e308)]
+    return json.dumps({"dimension": dim, "maps": maps})
+
+
+@pytest.mark.parametrize(
+    "dim, argv",
+    [
+        (2, ["bound"]),
+        (2, ["bound", "--method", "general"]),
+        (2, ["tighten"]),
+        (2, ["intersect", "--line", "0", "0", "1", "0"]),
+        (2, ["sample", "--depth", "1"]),
+        (2, ["sample", "--count", "5"]),
+        (2, ["render", "--out", "{tmp}/x.svg", "--count", "10"]),
+        (3, ["bound"]),
+        (3, ["bound", "--method", "general"]),
+        (3, ["verify", "--center", "0", "0", "0", "--radius", "1e308"]),
+        (3, ["tighten"]),
+        (3, ["sample", "--depth", "1"]),
+        (3, ["sample", "--count", "5"]),
+    ],
+)
+def test_overflow_is_one_error_line(dim, argv, tmp_path):
+    """Overflowing numbers end in exit 1 and one error line on the real
+    stderr: no traceback and no NumPy warning lines."""
+    path = tmp_path / "huge.json"
+    path.write_text(_huge_document(dim))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    result = _run_python(["-m", "ifsbound.cli", *argv, "--input", str(path)])
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+
+
+_HOSTILE = [0.0, 1e308, -1e308, 1.7e308, -1.7e308, 5e-324, -5e-324, 2.5e-310]
+_NEAR_ONE = math.nextafter(1.0, 0.0)
+
+
+def _arg(x: float) -> str:
+    # positional digits: argparse takes "-1e+308" for an option, "-1.0" for a number
+    return np.format_float_positional(x, trim="0")
+
+
+def _hostile_map(dim):
+    coord = st.sampled_from(_HOSTILE)
+    lam = st.one_of(st.sampled_from([_NEAR_ONE, 0.5, 5e-324]), st.floats(5e-324, _NEAR_ONE))
+    angle = st.sampled_from([0.0, math.pi, 1.0, -2.5])
+    if dim == 2:
+        return st.one_of(
+            st.fixed_dictionaries({"p": st.lists(coord, min_size=2, max_size=2), "lambda": lam, "theta": angle}),
+            st.fixed_dictionaries({"p": st.lists(coord, min_size=2, max_size=2), "phi": st.tuples(lam, st.just(0.0))}),
+        )
+    return st.fixed_dictionaries(
+        {
+            "p": st.lists(coord, min_size=3, max_size=3),
+            "lambda": lam,
+            "axis": st.lists(st.sampled_from(_HOSTILE + [1.0]), min_size=3, max_size=3),
+            "angle": angle,
+        }
+    )
+
+
+@st.composite
+def _hostile_run(draw, command):
+    dim = 2 if command in ("intersect", "render") else draw(st.sampled_from([2, 3]))
+    doc = {"dimension": dim, "maps": draw(st.lists(_hostile_map(dim), min_size=1, max_size=3))}
+    num = st.sampled_from(_HOSTILE).map(_arg)
+    if command == "bound":
+        argv = ["--method", draw(st.sampled_from(["auto", "general", "circum"])),
+                "--center", draw(st.sampled_from(["optimal", "arithmetic", "harmonic", "best"]))]
+    elif command == "verify":
+        argv = ["--center", *draw(st.lists(num, min_size=dim, max_size=dim)), "--radius", draw(num.filter(lambda s: not s.startswith("-")))]
+    elif command == "tighten":
+        argv = ["--levels", str(draw(st.integers(0, 3)))]
+    elif command == "intersect":
+        argv = ["--line", *draw(st.lists(num, min_size=4, max_size=4)), "--eps", draw(st.sampled_from(["1e-3", "5e-324", "1e308"]))]
+    elif command == "sample":
+        argv = draw(st.sampled_from([["--depth", "2"], ["--count", "20", "--seed", "3"]]))
+    else:
+        argv = ["--count", "20", *draw(st.sampled_from([[], ["--depth", "2"], ["--line", "0", "0", "1", "0"]]))]
+    return doc, [command, *argv]
+
+
+@pytest.mark.parametrize("command", ["bound", "verify", "tighten", "intersect", "sample", "render"])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_hostile_documents_end_in_a_record_or_one_error_line(command, data):
+    """Every run over extreme coordinates and contraction factors prints one
+    strict-JSON record or exits 1/2 with one error line, with NumPy warnings
+    turned into errors."""
+    doc, argv = data.draw(_hostile_run(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        if command == "render":
+            argv += ["--out", os.path.join(tmp, "x.svg")]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), mock.patch.dict(os.environ, {"IFSBOUND_NODE_BUDGET": "5000"}):
+            warnings.simplefilter("error")
+            # the library's documented fallback for coincident fixed points
+            warnings.filterwarnings("ignore", "coincident fixed points", RuntimeWarning)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--input", path])
+    if out.getvalue() and command != "render":
+        assert code == 0 or (code == 1 and command == "verify"), (code, err.getvalue())
+        record = json.loads(out.getvalue(), parse_constant=lambda name: pytest.fail(name))
+        assert isinstance(record, dict)
+    else:
+        assert out.getvalue() == ""
+        if code != 0:
+            lines = err.getvalue().splitlines()
+            assert code in (1, 2) and len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+        else:
+            assert command == "render"

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from ifsbound import (
     Ball,
     IfsSystem,
+    Line,
     NodeBudgetExceeded,
+    PointCloud,
     Similitude2,
     Similitude3,
     address_points,
@@ -17,6 +19,7 @@ from ifsbound import (
     apply_word,
     chaos_game,
     hutchinson_balls,
+    min_ball,
 )
 from conftest import cantor_ifs, sierpinski_ifs
 
@@ -282,3 +285,58 @@ class TestChaosGame:
         pts = chaos_game(IfsSystem(maps=(m1, m2)), 64, seed=5)
         assert pts.shape == (64, 3)
         assert np.all(np.isfinite(pts))
+
+
+_SPACE = [1.0, 2.0, 3.0]
+_POINT_INPUTS = {
+    # each constructor reads one point and gives it back in the point format
+    "Ball": lambda p: Ball(p, 1.0).c,
+    "Line anchor": lambda p: Line(p, _SPACE if np.size(p) == 3 else 1j).a,
+    "min_ball": lambda p: min_ball([p])[0].c,
+    "min_ball support": lambda p: min_ball([p])[1].points[0],
+    "PointCloud": lambda p: PointCloud(points=[p]).points[0],
+}
+
+
+class TestPointInput:
+    """Every public entry point accepts and rejects the same point forms."""
+
+    @pytest.mark.parametrize("reader", list(_POINT_INPUTS))
+    @pytest.mark.parametrize(
+        "form, expected",
+        [(1.5 + 2j, 1.5 + 2j), (1.5, 1.5 + 0j), (3, 3 + 0j), ((1.5, 2.0), 1.5 + 2j), (np.array([1.5, 2.0]), 1.5 + 2j)],
+        ids=["complex", "float", "int", "pair", "array"],
+    )
+    def test_plane_forms(self, reader, form, expected):
+        z = _POINT_INPUTS[reader](form)
+        assert type(z) is complex and z == expected
+
+    @pytest.mark.parametrize("reader", ["Ball", "Line anchor", "min_ball", "min_ball support"])
+    @pytest.mark.parametrize("form", [(1.0, 2.0, 3.0), [1, 2, 3], np.array(_SPACE)], ids=["tuple", "ints", "array"])
+    def test_space_forms_give_read_only_copies(self, reader, form):
+        v = _POINT_INPUTS[reader](form)
+        assert v.dtype == float and v.shape == (3,) and np.array_equal(v, _SPACE)
+        assert not v.flags.writeable
+        assert not np.shares_memory(v, form)
+
+    @pytest.mark.parametrize("reader", list(_POINT_INPUTS))
+    @pytest.mark.parametrize(
+        "bad",
+        [complex(math.nan, 0), math.inf, (0.0, math.nan), np.array([0.0, math.inf, 0.0]), np.zeros(4), (1, 2, 3, 4)],
+        ids=["nan", "inf", "nan_pair", "inf_vector", "shape4", "tuple4"],
+    )
+    def test_bad_points_rejected(self, reader, bad):
+        with pytest.raises(ValueError):
+            _POINT_INPUTS[reader](bad)
+
+    def test_line_dimensions_must_agree(self):
+        with pytest.raises(ValueError):
+            Line(0j, np.array(_SPACE))
+        with pytest.raises(ValueError):
+            Line(_SPACE, 1j)
+
+    def test_point_cloud_rows(self):
+        rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert PointCloud(points=rows).points == (1 + 2j, 3 + 4j)
+        with pytest.raises(ValueError):
+            PointCloud(points=np.ones((2, 3)))

@@ -44,6 +44,18 @@ class TestLine:
         assert np.allclose(line.u, [0, 0, 1])
         assert line.distance(np.array([3.0, 4.0, 10.0])) == pytest.approx(5.0)
 
+    def test_direction_rounding_follows_its_form(self):
+        # a pair is scaled by its vector norm and a complex number by its
+        # modulus: the two round apart, and each form keeps its own rounding
+        rng = np.random.default_rng(5)
+        apart = 0
+        for x, y in rng.normal(size=(2000, 2)).tolist():
+            v, z = np.array([x, y]), complex(x, y)
+            assert Line((0.0, 0.0), (x, y)).u == complex(*(v / np.linalg.norm(v)))
+            assert Line(0j, z).u == z / abs(z)
+            apart += complex(*(v / np.linalg.norm(v))) != z / abs(z)
+        assert apart > 0
+
     def test_sequence_anchor_becomes_complex(self):
         line = Line((0.0, 2.0), (1.0, 0.0))
         assert line.a == 2j and line.u == 1
