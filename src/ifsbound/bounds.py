@@ -31,8 +31,8 @@ from .ifs import (
     Ball,
     IfsSystem,
     DEFAULT_NODE_BUDGET,
-    Similitude3,
     dist,
+    mu_norm,  # re-exported: ifsbound.mu_norm
     _check_budget,
     _points,
     _word_tree_images,
@@ -80,24 +80,9 @@ class BoundReport:
         return min(self.slack)
 
 
-def mu_norm(m: Similitude3) -> float:
-    """Spectral norm of ``I - lam * R`` for a space similitude.
-
-    Equals ``sqrt(1 + lam^2 - 2*lam*cos(theta))`` where ``theta`` is the
-    rotation angle recovered from the matrix trace, the largest singular
-    value of ``I - lam * R``.
-    """
-    cos_theta = (float(np.trace(m.rot)) - 1.0) / 2.0
-    cos_theta = min(1.0, max(-1.0, cos_theta))
-    return math.sqrt(max(0.0, 1.0 + m.lam * m.lam - 2.0 * m.lam * cos_theta))
-
-
 def mu_values(ifs: IfsSystem) -> tuple:
     """Per-map displacement factors mu_k."""
-    # kept per layout: |1 - phi| is a complex modulus, ||I - lam R|| needs the angle
-    if ifs.dim == 2:
-        return tuple(abs(1.0 - m.phi) for m in ifs.maps)
-    return tuple(mu_norm(m) for m in ifs.maps)
+    return tuple(m.mu for m in ifs.maps)
 
 
 def mu_star(ifs: IfsSystem) -> float:
@@ -114,23 +99,20 @@ def verify_containment(ifs: IfsSystem, b: Ball) -> tuple:
     """
     if ifs.dim != b.dim:
         raise ValueError("system and ball dimensions differ")
-    return _slack(ifs, b, mu_values(ifs))
+    return _slack(ifs, b)
 
 
-def _slack(ifs: IfsSystem, b: Ball, mus: tuple) -> tuple:
-    return tuple((1.0 - m.lam) * b.r - mu * dist(b.c, m.p) for m, mu in zip(ifs.maps, mus))
+def _slack(ifs: IfsSystem, b: Ball) -> tuple:
+    return tuple((1.0 - m.lam) * b.r - m.mu * dist(b.c, m.p) for m in ifs.maps)
 
 
-def _report(ifs, ball, method, notes=(), mus=None) -> BoundReport:
-    """A report on ``ball``; ``mus`` is ``mu_values(ifs)`` if the caller
-    has it already."""
-    mus = mu_values(ifs) if mus is None else mus
+def _report(ifs, ball, method, notes=()) -> BoundReport:
     return BoundReport(
         ball=ball,
         method=method,
-        slack=_slack(ifs, ball, mus),
+        slack=_slack(ifs, ball),
         lambda_star=ifs.lambda_star,
-        mu_star=max(mus),
+        mu_star=mu_star(ifs),
         notes=tuple(notes),
     )
 
@@ -170,8 +152,7 @@ def general_bounding_ball(ifs: IfsSystem, center: str = "optimal") -> BoundRepor
     ``best`` evaluates all three and keeps the smallest resulting radius.
     Works in the plane and in space.
     """
-    mus = mu_values(ifs)
-    scale = max(mus) / (1.0 - ifs.lambda_star)
+    scale = mu_star(ifs) / (1.0 - ifs.lambda_star)
 
     def candidates():
         if center in ("optimal", "best"):
@@ -193,7 +174,7 @@ def general_bounding_ball(ifs: IfsSystem, center: str = "optimal") -> BoundRepor
         if best is None or rho < best[2]:
             best = (method, c, rho)
     method, c, rho = best
-    return _report(ifs, Ball(c, scale * rho), method, mus=mus)
+    return _report(ifs, Ball(c, scale * rho), method)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +205,7 @@ def circumcircle_trifractal(ifs: IfsSystem) -> BoundReport:
     if ifs.n != 3:
         raise ValueError("circumcircle_trifractal needs exactly 3 maps")
     p1, p2, p3 = ifs.fixed_points
-    a1, a2, a3 = ((1.0 - m.lam) / abs(1.0 - m.phi) for m in ifs.maps)
+    a1, a2, a3 = ((1.0 - m.lam) / m.mu for m in ifs.maps)
 
     big_c = 2.0 * _cross(p2 - p1, p2 - p3)
     if big_c == 0.0:
@@ -315,12 +296,7 @@ def circumcircle_bifractal(ifs: IfsSystem) -> BoundReport:
     if den == 0.0:
         raise CircumcircleError("degenerate factor combination: zero denominator")
     c = (w1 * p1 + w2 * p2) / den
-    r = (
-        abs(1.0 - m1.phi)
-        * abs(1.0 - m2.phi)
-        / ((1.0 - lam) * abs(den))
-        * abs(p2 - p1)
-    )
+    r = m1.mu * m2.mu / ((1.0 - lam) * abs(den)) * abs(p2 - p1)
     return _report(ifs, Ball(c, r), "circum_bi")
 
 
@@ -400,8 +376,7 @@ def tighten(
         raise ValueError("levels must be >= 0")
     if ifs.dim != b.dim:
         raise ValueError("system and ball dimensions differ")
-    mus = mu_values(ifs)
-    slack = _slack(ifs, b, mus)
+    slack = _slack(ifs, b)
     if min(slack) < -containment_tol(b.r):
         raise ValueError(
             "input ball is not a verified bounding ball "
@@ -426,6 +401,5 @@ def tighten(
             Ball(b.c, b.r),
             "tightened",
             notes=notes + ("refinement did not shrink the ball; input kept",),
-            mus=mus,
         )
-    return _report(ifs, Ball(c_prime, radius), "tightened", notes=notes, mus=mus)
+    return _report(ifs, Ball(c_prime, radius), "tightened", notes=notes)

@@ -81,10 +81,10 @@ def _jval(v) -> str:
         return "true" if v else "false"
     if isinstance(v, str):
         return json.dumps(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, float):
         return _jnum(v)
+    if isinstance(v, np.ndarray):
+        return _point_rows(v)
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_jval(x) for x in v) + "]"
     if isinstance(v, dict):
@@ -92,14 +92,10 @@ def _jval(v) -> str:
     raise TypeError(f"cannot serialize {v!r}")
 
 
-def _emit_record(record: dict) -> None:
-    sys.stdout.write(_jval(record) + "\n")
-
-
 def _point_rows(pts: np.ndarray) -> str:
-    """``_jval`` of the coordinate rows of a complex or ``(N, 3)`` point
-    array, formatted flat: the recursion would cost most of a large
-    ``sample``."""
+    """The coordinate rows of a complex or ``(N, 3)`` point array as
+    ``_jval`` writes them, formatted flat: its recursion would cost most of
+    a large ``sample``."""
     flat = _rows(pts)
     bad = flat[~np.isfinite(flat)]
     if len(bad):
@@ -183,82 +179,62 @@ def _sample_points(ifs: IfsSystem, args):
     return chaos_game(ifs, args.count, args.seed)
 
 
-def _cmd_bound(args) -> int:
-    ifs = _load_system(args.input)
+def _cmd_bound(ifs: IfsSystem, args) -> dict:
     if args.method == "auto":
         report = best_bounding_ball(ifs)
     elif args.method == "general":
         report = general_bounding_ball(ifs, center=args.center)
     else:
         report = circumcircle(ifs)
-    _emit_record(_report_record(report))
-    return 0
+    return _report_record(report)
 
 
-def _cmd_verify(args) -> int:
-    ifs = _load_system(args.input)
+def _cmd_verify(ifs: IfsSystem, args) -> dict:
     ball = _ball_from_args(ifs, args)
     slack = verify_containment(ifs, ball)
-    ok = min(slack) >= -containment_tol(ball.r)
-    _emit_record(
-        {
-            "center": _coords(ball.c).tolist(),
-            "radius": ball.r,
-            "slack": list(slack),
-            "lambda_star": ifs.lambda_star,
-            "mu_star": mu_star(ifs),
-            "contained": ok,
-        }
-    )
-    return 0 if ok else 1
+    return {
+        "center": _coords(ball.c).tolist(),
+        "radius": ball.r,
+        "slack": list(slack),
+        "lambda_star": ifs.lambda_star,
+        "mu_star": mu_star(ifs),
+        "contained": min(slack) >= -containment_tol(ball.r),
+    }
 
 
-def _cmd_tighten(args) -> int:
-    ifs = _load_system(args.input)
+def _cmd_tighten(ifs: IfsSystem, args) -> dict:
     if args.center is not None or args.radius is not None:
         if args.center is None or args.radius is None:
             raise IfsDocumentError("--center and --radius must be given together")
         ball = _ball_from_args(ifs, args)
     else:
         ball = best_bounding_ball(ifs).ball
-    report = tighten(ifs, ball, args.levels, budget=_budget())
-    _emit_record(_report_record(report))
-    return 0
+    return _report_record(tighten(ifs, ball, args.levels, budget=_budget()))
 
 
-def _cmd_intersect(args) -> int:
-    ifs = _load_system(args.input)
+def _cmd_intersect(ifs: IfsSystem, args) -> dict:
     if ifs.dim != 2:
-        print("error: the CLI line query is 2D only", file=sys.stderr)
-        return 1
+        raise ValueError("the CLI line query is 2D only")
     _require(
         math.isfinite(args.eps) and args.eps > 0.0, "--eps must be a finite number > 0"
     )
     line = _line_from_args(args.line)
     result = intersect_line(ifs, line, args.eps, budget=_budget())
-    _emit_record(
-        {
-            "intervals": [[h.t_lo, h.t_hi] for h in result.intervals],
-            "truncated": result.truncated,
-        }
-    )
-    return 0
+    return {
+        "intervals": [[h.t_lo, h.t_hi] for h in result.intervals],
+        "truncated": result.truncated,
+    }
 
 
-def _cmd_sample(args) -> int:
-    ifs = _load_system(args.input)
+def _cmd_sample(ifs: IfsSystem, args) -> dict:
     if (args.depth is None) == (args.count is None):
         raise IfsDocumentError("give exactly one of --depth or --count")
-    pts = _sample_points(ifs, args)
-    sys.stdout.write('{"points": ' + _point_rows(pts) + "}\n")
-    return 0
+    return {"points": _sample_points(ifs, args)}
 
 
-def _cmd_render(args) -> int:
-    ifs = _load_system(args.input)
+def _cmd_render(ifs: IfsSystem, args) -> None:
     if ifs.dim != 2:
-        print("error: rendering is 2D only", file=sys.stderr)
-        return 1
+        raise ValueError("rendering is 2D only")
     pts = _sample_points(ifs, args)
     layers = [PointCloud(points=pts, radius_px=1.0)]
     general = general_bounding_ball(ifs, center="best")
@@ -275,7 +251,6 @@ def _cmd_render(args) -> int:
             fh.write(doc)
     except OSError as exc:
         raise IfsDocumentError(f"cannot write {args.out}: {exc}") from None
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +265,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "intersection, sampling, and SVG rendering for similitude IFS fractals",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--input", required=True, help="IFS JSON document")
 
-    p_bound = sub.add_parser("bound", help="compute a bounding ball")
-    p_bound.add_argument("--input", required=True, help="IFS JSON document")
+    def command(name, func, summary):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p_bound = command("bound", _cmd_bound, "compute a bounding ball")
     p_bound.add_argument(
         "--method", choices=("general", "circum", "auto"), default="auto"
     )
@@ -302,25 +283,19 @@ def _build_parser() -> argparse.ArgumentParser:
         default="optimal",
         help="center strategy for the general method",
     )
-    p_bound.set_defaults(func=_cmd_bound)
 
-    p_verify = sub.add_parser("verify", help="check a ball's containment slack")
-    p_verify.add_argument("--input", required=True)
+    p_verify = command("verify", _cmd_verify, "check a ball's containment slack")
     p_verify.add_argument(
         "--center", type=float, nargs="+", required=True, metavar="X"
     )
     p_verify.add_argument("--radius", type=float, required=True)
-    p_verify.set_defaults(func=_cmd_verify)
 
-    p_tighten = sub.add_parser("tighten", help="refine a verified bounding ball")
-    p_tighten.add_argument("--input", required=True)
+    p_tighten = command("tighten", _cmd_tighten, "refine a verified bounding ball")
     p_tighten.add_argument("--center", type=float, nargs="+", metavar="X")
     p_tighten.add_argument("--radius", type=float)
     p_tighten.add_argument("--levels", type=int, default=1)
-    p_tighten.set_defaults(func=_cmd_tighten)
 
-    p_isect = sub.add_parser("intersect", help="fractal-line intersection intervals")
-    p_isect.add_argument("--input", required=True)
+    p_isect = command("intersect", _cmd_intersect, "fractal-line intersection intervals")
     p_isect.add_argument(
         "--line",
         type=float,
@@ -329,17 +304,13 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar=("AX", "AY", "UX", "UY"),
     )
     p_isect.add_argument("--eps", type=float, default=1e-3)
-    p_isect.set_defaults(func=_cmd_intersect)
 
-    p_sample = sub.add_parser("sample", help="sample attractor points")
-    p_sample.add_argument("--input", required=True)
+    p_sample = command("sample", _cmd_sample, "sample attractor points")
     p_sample.add_argument("--depth", type=int)
     p_sample.add_argument("--count", type=int)
     p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.set_defaults(func=_cmd_sample)
 
-    p_render = sub.add_parser("render", help="render attractor and circles to SVG")
-    p_render.add_argument("--input", required=True)
+    p_render = command("render", _cmd_render, "render attractor and circles to SVG")
     p_render.add_argument("--out", required=True)
     p_render.add_argument("--count", type=int, default=5000)
     p_render.add_argument("--seed", type=int, default=1)
@@ -347,7 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_render.add_argument(
         "--line", type=float, nargs=4, metavar=("AX", "AY", "UX", "UY")
     )
-    p_render.set_defaults(func=_cmd_render)
     return parser
 
 
@@ -360,14 +330,19 @@ def main(argv=None) -> int:
     try:
         # overflow shows as the error it causes, not as NumPy warnings
         with np.errstate(all="ignore"):
-            return args.func(args)
+            record = args.func(_load_system(args.input), args)
+            if record is not None:
+                sys.stdout.write(_jval(record) + "\n")
     except IfsDocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, NodeBudgetExceeded) as exc:
-        # also CircumcircleError, NonFiniteRecordError, float OverflowError
-        print(f"error: {exc}", file=sys.stderr)
+        # also CircumcircleError and NonFiniteRecordError; Python's overflow
+        # text, e.g. "(34, 'Numerical result out of range')", names no cause
+        cause = "floating-point overflow: " if isinstance(exc, OverflowError) else ""
+        print(f"error: {cause}{exc}", file=sys.stderr)
         return 1
+    return 0 if (record or {}).get("contained", True) else 1
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -119,6 +120,11 @@ class Similitude2:
         """Rotation angle arg(phi) in (-pi, pi]."""
         return cmath.phase(self.phi)
 
+    @cached_property
+    def mu(self) -> float:
+        """Displacement factor mu = |1 - phi|: ``|T(z) - z| = mu * |z - p|``."""
+        return abs(1.0 - self.phi)
+
     @property
     def dim(self) -> int:
         return 2
@@ -176,12 +182,29 @@ class Similitude3:
         )
         return cls(p=p, lam=lam, rot=rot)
 
+    @cached_property
+    def mu(self) -> float:
+        """Displacement factor mu = ||I - lam R||: ``|T(z) - z| <= mu * |z - p|``."""
+        return mu_norm(self)
+
     @property
     def dim(self) -> int:
         return 3
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         return self.p + self.lam * (self.rot @ (np.asarray(z, dtype=float) - self.p))
+
+
+def mu_norm(m: Similitude3) -> float:
+    """Spectral norm of ``I - lam * R`` for a space similitude.
+
+    Equals ``sqrt(1 + lam^2 - 2*lam*cos(theta))`` where ``theta`` is the
+    rotation angle recovered from the matrix trace, the largest singular
+    value of ``I - lam * R``.
+    """
+    cos_theta = (float(np.trace(m.rot)) - 1.0) / 2.0
+    cos_theta = min(1.0, max(-1.0, cos_theta))
+    return math.sqrt(max(0.0, 1.0 + m.lam * m.lam - 2.0 * m.lam * cos_theta))
 
 
 Similitude = Union[Similitude2, Similitude3]
@@ -197,12 +220,11 @@ class IfsSystem:
         maps = tuple(self.maps)
         if not maps:
             raise ValueError("an IFS needs at least one map")
-        dims = {m.dim for m in maps}
-        if len(dims) != 1:
-            raise ValueError("all maps must share one dimension")
         for m in maps:
             if not isinstance(m, (Similitude2, Similitude3)):
                 raise TypeError(f"not a similitude: {m!r}")
+        if len({m.dim for m in maps}) != 1:
+            raise ValueError("all maps must share one dimension")
         object.__setattr__(self, "maps", maps)
 
     @property

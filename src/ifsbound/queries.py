@@ -23,6 +23,7 @@ from .ifs import (
     _as_point,
     _coords,
     _rows,
+    dist,
     point_dim,
 )
 from .bounds import best_bounding_ball, containment_tol, verify_containment
@@ -57,12 +58,7 @@ class Line:
 
     def distance(self, z) -> float:
         """Orthogonal distance from a point to the line."""
-        t = self.project(z)
-        foot = self.at(t)
-        # kept per layout: a complex modulus and a vector norm round apart
-        if self.dim == 2:
-            return abs(z - foot)
-        return float(np.linalg.norm(np.asarray(z, float) - foot))
+        return dist(z, self.at(self.project(z)))
 
 
 @dataclass(frozen=True, slots=True)

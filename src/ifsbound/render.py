@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs import Ball, _rows
+from .ifs import Ball, _as_point, _rows
 from .queries import Line
 
 CIRCUM_COLOR = "#d62728"  # circumcircles render red
@@ -52,6 +52,9 @@ class Label:
     anchor: complex
     color: str = "#000000"
     size_px: float = 12.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "anchor", _as_point(self.anchor, 2, "anchor"))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from ifsbound import (
     min_ball,
     mu_norm,
     mu_star,
+    mu_values,
     tighten,
     verify_containment,
 )
@@ -82,6 +83,16 @@ class TestMuNorm:
             assert mu_norm(m) == pytest.approx(
                 abs(1 - lam * cmath.exp(1j * theta)), abs=1e-10
             )
+
+    def test_maps_hold_their_mu(self):
+        rng = np.random.default_rng(33)
+        for ifs in (random_ifs_2d(rng, n=3), random_ifs_3d(rng, n=3)):
+            expected = [
+                abs(1.0 - m.phi) if ifs.dim == 2 else mu_norm(m) for m in ifs.maps
+            ]
+            assert [m.mu for m in ifs.maps] == expected
+            assert mu_values(ifs) == tuple(expected)
+            assert mu_star(ifs) == max(expected)
 
 
 class TestVerifyContainment:

@@ -554,6 +554,40 @@ def test_overflow_is_one_error_line(dim, argv, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
 
 
+def test_circumcircle_overflow_names_its_cause(tmp_path, capsys):
+    # abs(p) ** 2 of a fixed point at 1e308 raises OverflowError in Python floats
+    maps = [{"p": p, "phi": [0.5, 0]} for p in ([1e308, 0], [-1e308, 0], [0, 1e308])]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dimension": 2, "maps": maps}))
+    code = main(["bound", "--method", "circum", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "overflow" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["intersect", "--line", "0", "0", "1", "0"], "error: the CLI line query is 2D only"),
+        (["render", "--out", "{tmp}/x.svg"], "error: rendering is 2D only"),
+    ],
+    ids=["intersect", "render"],
+)
+def test_plane_only_commands_reject_space_documents(argv, message, tmp_path, capsys):
+    maps = [{"p": [x, 0, 0], "lambda": 0.5, "axis": [0, 0, 1], "angle": 0.3} for x in (0, 1)]
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"dimension": 3, "maps": maps}))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code = main([*argv, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+    assert not (tmp_path / "x.svg").exists()
+
+
 _HOSTILE = [0.0, 1e308, -1e308, 1.7e308, -1.7e308, 5e-324, -5e-324, 2.5e-310]
 _NEAR_ONE = math.nextafter(1.0, 0.0)
 

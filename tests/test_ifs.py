@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ifsbound import (
     Ball,
     IfsSystem,
+    Label,
     Line,
     NodeBudgetExceeded,
     PointCloud,
@@ -91,6 +92,11 @@ class TestSimilitudeValidation:
     def test_empty_system_rejected(self):
         with pytest.raises(ValueError):
             IfsSystem(maps=())
+
+    def test_non_similitude_rejected(self):
+        for maps in ((object(),), (Similitude2(p=0, phi=0.5), "map")):
+            with pytest.raises(TypeError, match="not a similitude"):
+                IfsSystem(maps=maps)
 
 
 class TestApplyMap:
@@ -295,6 +301,7 @@ _POINT_INPUTS = {
     "min_ball": lambda p: min_ball([p])[0].c,
     "min_ball support": lambda p: min_ball([p])[1].points[0],
     "PointCloud": lambda p: PointCloud(points=[p]).points[0],
+    "Label": lambda p: Label(text="a", anchor=p).anchor,
 }
 
 
