@@ -32,7 +32,6 @@ from .ifs import (
     IfsSystem,
     DEFAULT_NODE_BUDGET,
     dist,
-    mu_norm,  # re-exported: ifsbound.mu_norm
     _check_budget,
     _points,
     _word_tree_images,
@@ -122,7 +121,8 @@ def mean_centers(ifs: IfsSystem):
 
     The harmonic weights are the reciprocals of the covering radius at each
     fixed point.  When the fixed points all coincide those radii vanish and
-    the harmonic mean falls back to the arithmetic one with a warning.
+    the harmonic mean falls back to the arithmetic one with a warning; when
+    they all overflow to inf the weights vanish and ``OverflowError`` is raised.
     """
     pts = ifs.fixed_points
     n = ifs.n
@@ -139,6 +139,8 @@ def mean_centers(ifs: IfsSystem):
     if n == 1:
         return c_a, c_a
     wsum = sum(1.0 / rho for rho in rhos)
+    if wsum == 0.0:
+        raise OverflowError("the covering radii of the fixed points overflow")
     c_h = sum(p / rho for p, rho in zip(pts, rhos)) / wsum
     return c_a, c_h
 
@@ -169,11 +171,8 @@ def general_bounding_ball(ifs: IfsSystem, center: str = "optimal") -> BoundRepor
 
     if center not in ("optimal", "arithmetic", "harmonic", "best"):
         raise ValueError(f"unknown center strategy {center!r}")
-    best = None
-    for method, c, rho in candidates():
-        if best is None or rho < best[2]:
-            best = (method, c, rho)
-    method, c, rho = best
+    # min keeps the first of equal radii, so ties go to the earlier candidate
+    method, c, rho = min(candidates(), key=lambda cand: cand[2])
     return _report(ifs, Ball(c, scale * rho), method)
 
 
@@ -374,9 +373,7 @@ def tighten(
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    if ifs.dim != b.dim:
-        raise ValueError("system and ball dimensions differ")
-    slack = _slack(ifs, b)
+    slack = verify_containment(ifs, b)
     if min(slack) < -containment_tol(b.r):
         raise ValueError(
             "input ball is not a verified bounding ball "

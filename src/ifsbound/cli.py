@@ -105,14 +105,20 @@ def _point_rows(pts: np.ndarray) -> str:
     return "[" + ", ".join(row % tuple(r) for r in (flat + 0.0).tolist()) + "]"
 
 
-def _report_record(report: BoundReport) -> dict:
+def _ball_record(ifs: IfsSystem, ball: Ball, slack) -> dict:
+    return {
+        "center": _coords(ball.c).tolist(),
+        "radius": ball.r,
+        "slack": list(slack),
+        "lambda_star": ifs.lambda_star,
+        "mu_star": mu_star(ifs),
+    }
+
+
+def _report_record(ifs: IfsSystem, report: BoundReport) -> dict:
     return {
         "method": report.method,
-        "center": _coords(report.ball.c).tolist(),
-        "radius": report.ball.r,
-        "slack": list(report.slack),
-        "lambda_star": report.lambda_star,
-        "mu_star": report.mu_star,
+        **_ball_record(ifs, report.ball, report.slack),
         "notes": list(report.notes),
     }
 
@@ -186,30 +192,25 @@ def _cmd_bound(ifs: IfsSystem, args) -> dict:
         report = general_bounding_ball(ifs, center=args.center)
     else:
         report = circumcircle(ifs)
-    return _report_record(report)
+    return _report_record(ifs, report)
 
 
 def _cmd_verify(ifs: IfsSystem, args) -> dict:
     ball = _ball_from_args(ifs, args)
     slack = verify_containment(ifs, ball)
-    return {
-        "center": _coords(ball.c).tolist(),
-        "radius": ball.r,
-        "slack": list(slack),
-        "lambda_star": ifs.lambda_star,
-        "mu_star": mu_star(ifs),
-        "contained": min(slack) >= -containment_tol(ball.r),
-    }
+    contained = min(slack) >= -containment_tol(ball.r)
+    return {**_ball_record(ifs, ball, slack), "contained": contained}
 
 
 def _cmd_tighten(ifs: IfsSystem, args) -> dict:
+    _require(args.levels >= 0, "--levels must be >= 0")
     if args.center is not None or args.radius is not None:
         if args.center is None or args.radius is None:
             raise IfsDocumentError("--center and --radius must be given together")
         ball = _ball_from_args(ifs, args)
     else:
         ball = best_bounding_ball(ifs).ball
-    return _report_record(tighten(ifs, ball, args.levels, budget=_budget()))
+    return _report_record(ifs, tighten(ifs, ball, args.levels, budget=_budget()))
 
 
 def _cmd_intersect(ifs: IfsSystem, args) -> dict:
@@ -258,8 +259,16 @@ def _cmd_render(ifs: IfsSystem, args) -> None:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line (exit 2), without the
+    usage block; subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ifsbound",
         description="bounding circles, verification, tightening, line "
         "intersection, sampling, and SVG rendering for similitude IFS fractals",

@@ -307,8 +307,6 @@ def parse_ifs(text: str) -> IfsSystem:
                         f"map {i} is not a contraction (lambda = {lam:.6g})"
                     )
                 axis = _floats(rec.get("axis"), 3, f"map {i} axis")
-                if not any(axis):
-                    raise IfsDocumentError(f"map {i} axis must be nonzero")
                 angle = float(rec.get("angle", 0.0))
                 maps.append(
                     Similitude3.from_axis_angle(p=p, lam=lam, axis=axis, angle=angle)
@@ -358,27 +356,14 @@ def _axis_angle_of(rot: np.ndarray):
 
 def serialize_ifs(ifs: IfsSystem) -> str:
     """Emit a document that parses back to the same system."""
-
-    def num(x):
-        return float(f"{float(x):.17g}")
-
     recs = []
     if ifs.dim == 2:
         for m in ifs.maps:
-            recs.append(
-                {"p": [num(m.p.real), num(m.p.imag)], "phi": [num(m.phi.real), num(m.phi.imag)]}
-            )
+            recs.append({"p": [m.p.real, m.p.imag], "phi": [m.phi.real, m.phi.imag]})
     else:
         for m in ifs.maps:
             axis, angle = _axis_angle_of(m.rot)
-            recs.append(
-                {
-                    "p": [num(v) for v in m.p],
-                    "lambda": num(m.lam),
-                    "axis": [num(v) for v in axis],
-                    "angle": num(angle),
-                }
-            )
+            recs.append({"p": m.p.tolist(), "lambda": m.lam, "axis": axis, "angle": angle})
     return json.dumps({"dimension": ifs.dim, "maps": recs}, indent=2) + "\n"
 
 

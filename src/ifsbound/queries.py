@@ -139,8 +139,8 @@ def intersect_line(
         raise ValueError("eps must be positive")
     if bound is None:
         bound = best_bounding_ball(ifs).ball
-    if bound.dim != ifs.dim or line.dim != ifs.dim:
-        raise ValueError("dimension mismatch between system, line, and bound")
+    if line.dim != ifs.dim:
+        raise ValueError("system and line dimensions differ")
     slack = verify_containment(ifs, bound)
     if min(slack) < -containment_tol(bound.r):
         raise ValueError("bound is not a verified bounding ball")

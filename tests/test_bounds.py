@@ -155,6 +155,8 @@ class TestGeneralBoundingBall:
         ifs = mixed_bifractal()
         assert general_bounding_ball(ifs, center="arithmetic").method == "general_arithmetic"
         assert general_bounding_ball(ifs, center="harmonic").method == "general_harmonic"
+        # all three centers are exactly 0.5: a tie keeps the first candidate
+        assert general_bounding_ball(ifs, center="best").method == "general"
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):

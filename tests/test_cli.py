@@ -415,6 +415,7 @@ class TestCliCommands:
         ["intersect", "--line", "0", "0", "nan", "0"],
         ["render", "--out", "{missing}.svg", "--count", "100", "--line", "nan", "0", "1", "0"],
         ["render", "--out", "{missing}.svg", "--count", "100", "--line", "0", "0", "0", "0"],
+        ["tighten", "--levels", "-1"],
     ],
 )
 def test_hostile_numbers_are_usage_errors(argv, cantor_file, tmp_path, capsys):
@@ -425,6 +426,32 @@ def test_hostile_numbers_are_usage_errors(argv, cantor_file, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound"],
+        ["frobnicate"],
+        ["sample", "--input", "{cantor}", "--depth", "x"],
+        ["bound", "--input", "{cantor}", "--method", "nope"],
+    ],
+    ids=["missing_input", "unknown_command", "bad_int", "bad_choice"],
+)
+def test_argparse_errors_are_one_line(argv, cantor_file, capsys):
+    code = main([a.format(cantor=cantor_file) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def test_help_still_goes_to_stdout(capsys):
+    assert main(["sample", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: ifsbound sample") and "--depth" in captured.out
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("command", ["sample", "render"])
@@ -565,6 +592,33 @@ def test_circumcircle_overflow_names_its_cause(tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "overflow" in lines[0]
+
+
+def _bound_general(tmp_path, points, center):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dimension": 2, "maps": [{"p": p, "phi": [0.5, 0]} for p in points]}))
+    return main(["bound", "--method", "general", "--center", center, "--input", str(path)])
+
+
+def test_harmonic_overflow_names_its_cause(tmp_path, capsys):
+    # both covering radii are inf, so every harmonic weight is 0
+    code = _bound_general(tmp_path, [[0, 1e308], [0, -1e308]], "harmonic")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: floating-point overflow: the covering radii of the fixed points overflow\n"
+    )
+
+
+@pytest.mark.parametrize("center", ["arithmetic", "harmonic"])
+def test_one_finite_covering_radius_keeps_the_mean_centers(center, tmp_path, capsys):
+    # the radii at +-1e308 are inf, the one at 0 is finite: the weights still sum above 0
+    code = _bound_general(tmp_path, [[1e308, 0], [-1e308, 0], [0, 0]], center)
+    record = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert record["method"] == f"general_{center}"
+    assert record["center"] == [0, 0] and record["radius"] == 1e308
 
 
 @pytest.mark.parametrize(

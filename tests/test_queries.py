@@ -17,6 +17,7 @@ from ifsbound import (
     line_ball_distance,
     Similitude2,
     Similitude3,
+    tighten,
 )
 from conftest import cantor_ifs, random_ifs_2d, random_ifs_3d
 
@@ -260,6 +261,25 @@ class TestIntersectProperties:
         line = Line(target, direction)
         result = intersect_line(ifs, line, eps=1e-3)
         assert covered(line.project(target), result.intervals, slop=1e-3)
+
+
+_BALL_3D = Ball((0.5, 0.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ifs: tighten(ifs, _BALL_3D, 1),
+        lambda ifs: intersect_line(ifs, Line(0j, 1 + 0j), 1e-3, bound=_BALL_3D),
+        lambda ifs: intersect_line(ifs, Line((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), 1e-3),
+    ],
+    ids=["tighten_3d_ball", "intersect_3d_bound", "intersect_3d_line"],
+)
+def test_dimension_mismatch_raises(call):
+    """A 2D system with a 3D ball or line: the containment check or the
+    line check rejects it before any work."""
+    with pytest.raises(ValueError, match="dimension"):
+        call(cantor_ifs())
 
 
 class TestHitInterval:

@@ -38,3 +38,11 @@ def test_tightness_survey():
     assert result.returncode == 0 and result.stderr == "", result.stderr
     assert "2-map systems (20 samples" in result.stdout
     assert "3-map systems (20 samples" in result.stdout
+
+
+def test_parity_against_itself():
+    root = Path(__file__).resolve().parent.parent
+    result = _run_script("parity.py", str(root), "--seeds", "1", "--workloads", "cli")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "cli seed 1: fingerprint" in result.stdout
+    assert result.stdout.splitlines()[-1] == "1 decks, 200 ops here: 0 differences"
