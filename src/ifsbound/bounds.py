@@ -32,8 +32,6 @@ from .ifs import (
     IfsSystem,
     DEFAULT_NODE_BUDGET,
     dist,
-    _check_budget,
-    _points,
     _word_tree_images,
 )
 from .minball import min_ball, radius_function
@@ -116,6 +114,10 @@ def _report(ifs, ball, method, notes=()) -> BoundReport:
     )
 
 
+def _arithmetic_center(ifs: IfsSystem):
+    return sum(ifs.fixed_points) / ifs.n
+
+
 def mean_centers(ifs: IfsSystem):
     """Arithmetic and harmonically weighted means of the fixed points.
 
@@ -126,7 +128,7 @@ def mean_centers(ifs: IfsSystem):
     """
     pts = ifs.fixed_points
     n = ifs.n
-    c_a = sum(pts) / n
+    c_a = _arithmetic_center(ifs)
     rhos = [radius_function(ifs, p) for p in pts]
     if any(rho == 0.0 for rho in rhos) and n > 1:
         warnings.warn(
@@ -162,12 +164,12 @@ def general_bounding_ball(ifs: IfsSystem, center: str = "optimal") -> BoundRepor
             # ties (two fixed points: every center is the midpoint) go here
             ball, _ = min_ball(ifs.fixed_points)
             yield "general", ball.c, radius_function(ifs, ball.c)
-        if center in ("arithmetic", "best", "harmonic"):
-            c_a, c_h = mean_centers(ifs)
-            if center in ("arithmetic", "best"):
-                yield "general_arithmetic", c_a, radius_function(ifs, c_a)
-            if center in ("harmonic", "best"):
-                yield "general_harmonic", c_h, radius_function(ifs, c_h)
+        if center in ("arithmetic", "best"):
+            c_a = _arithmetic_center(ifs)
+            yield "general_arithmetic", c_a, radius_function(ifs, c_a)
+        if center in ("harmonic", "best"):
+            c_h = mean_centers(ifs)[1]
+            yield "general_harmonic", c_h, radius_function(ifs, c_h)
 
     if center not in ("optimal", "arithmetic", "harmonic", "best"):
         raise ValueError(f"unknown center strategy {center!r}")
@@ -335,20 +337,6 @@ def best_bounding_ball(ifs: IfsSystem) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def _word_images(ifs: IfsSystem, z, levels: int, budget: int, spare: int = 0):
-    """Centers and contraction factors of all depth-``levels`` compositions,
-    then ``spare`` free rows of their length: views of one float buffer, so
-    a caller's work arrays cost no allocation of their own."""
-    size = ifs.n**levels
-    _check_budget(size, budget)
-    buf = np.empty((ifs.dim + 1 + spare, size))
-    centers = _points(buf[: ifs.dim].reshape(size, ifs.dim))
-    factors = buf[ifs.dim]
-    centers[0], factors[0] = z, 1.0
-    _word_tree_images(ifs, centers, levels, factors)
-    return (centers, factors, *buf[ifs.dim + 1 :])
-
-
 def tighten(
     ifs: IfsSystem,
     b: Ball,
@@ -379,7 +367,7 @@ def tighten(
             "input ball is not a verified bounding ball "
             f"(min slack {min(slack):.3e})"
         )
-    centers, factors, reach = _word_images(ifs, b.c, levels, budget, spare=1)
+    centers, factors, reach = _word_tree_images(ifs, [b.c], levels, budget, rows=2)
     center_ball, _ = min_ball(centers)
     c_prime = center_ball.c
     diff = np.subtract(centers, c_prime, out=centers)  # min_ball is done with them

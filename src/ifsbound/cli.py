@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -205,8 +206,7 @@ def _cmd_verify(ifs: IfsSystem, args) -> dict:
 def _cmd_tighten(ifs: IfsSystem, args) -> dict:
     _require(args.levels >= 0, "--levels must be >= 0")
     if args.center is not None or args.radius is not None:
-        if args.center is None or args.radius is None:
-            raise IfsDocumentError("--center and --radius must be given together")
+        _require(None not in (args.center, args.radius), "--center and --radius must be given together")
         ball = _ball_from_args(ifs, args)
     else:
         ball = best_bounding_ball(ifs).ball
@@ -228,8 +228,7 @@ def _cmd_intersect(ifs: IfsSystem, args) -> dict:
 
 
 def _cmd_sample(ifs: IfsSystem, args) -> dict:
-    if (args.depth is None) == (args.count is None):
-        raise IfsDocumentError("give exactly one of --depth or --count")
+    _require((args.depth is None) != (args.count is None), "give exactly one of --depth or --count")
     return {"points": _sample_points(ifs, args)}
 
 
@@ -330,6 +329,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    """Show a warning as one ``warning:`` line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -338,7 +342,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         # overflow shows as the error it causes, not as NumPy warnings
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.showwarning = _warning_line
             record = args.func(_load_system(args.input), args)
             if record is not None:
                 sys.stdout.write(_jval(record) + "\n")

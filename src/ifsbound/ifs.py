@@ -108,7 +108,7 @@ class Similitude2:
         if not (cmath.isfinite(self.p) and cmath.isfinite(self.phi)):
             raise ValueError("non-finite map parameter")
         if not 0.0 < abs(self.phi) < 1.0:
-            raise ValueError(f"|phi| = {abs(self.phi)} is not in (0, 1)")
+            raise ValueError(f"not a contraction (|phi| = {abs(self.phi):.6g})")
 
     @property
     def lam(self) -> float:
@@ -148,7 +148,9 @@ class Similitude3:
     def __post_init__(self):
         object.__setattr__(self, "p", _as_point(self.p, 3, "fixed point"))
         object.__setattr__(self, "lam", float(self.lam))
-        rot = np.asarray(self.rot, dtype=float)
+        if not 0.0 < self.lam < 1.0:
+            raise ValueError(f"not a contraction (lambda = {self.lam:.6g})")
+        rot = np.array(self.rot, dtype=float)
         if rot.shape != (3, 3):
             raise ValueError("rotation must be a 3x3 matrix")
         if not np.all(np.isfinite(rot)):
@@ -157,11 +159,8 @@ class Similitude3:
             raise ValueError("rotation matrix is not orthogonal to 1e-12")
         if np.linalg.det(rot) < 0.0:
             raise ValueError("rotation matrix has negative determinant")
-        rot = rot.copy()
         rot.setflags(write=False)
         object.__setattr__(self, "rot", rot)
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError(f"lam = {self.lam} is not in (0, 1)")
 
     @classmethod
     def from_axis_angle(cls, p, lam: float, axis, angle: float) -> "Similitude3":
@@ -292,20 +291,12 @@ def parse_ifs(text: str) -> IfsSystem:
                     raise IfsDocumentError(
                         f"map {i} needs either phi or lambda+theta"
                     )
-                if not 0.0 < abs(phi) < 1.0:
-                    raise IfsDocumentError(
-                        f"map {i} is not a contraction (|phi| = {abs(phi):.6g})"
-                    )
                 maps.append(Similitude2(p=complex(px, py), phi=phi))
             else:
                 p = _floats(rec.get("p"), 3, f"map {i} p")
                 if "lambda" not in rec:
                     raise IfsDocumentError(f"map {i} needs lambda")
                 lam = float(rec["lambda"])
-                if not 0.0 < lam < 1.0:
-                    raise IfsDocumentError(
-                        f"map {i} is not a contraction (lambda = {lam:.6g})"
-                    )
                 axis = _floats(rec.get("axis"), 3, f"map {i} axis")
                 angle = float(rec.get("angle", 0.0))
                 maps.append(
@@ -436,31 +427,34 @@ def apply_word(ifs: IfsSystem, word: Iterable[int], z: Point):
     return z, factor
 
 
-def _check_budget(leaves: int, budget: int) -> None:
-    if leaves > budget:
+def _word_tree_images(ifs: IfsSystem, starts, levels: int, budget: int, rows: int = 0):
+    """Images of the points ``starts`` under all depth-``levels``
+    compositions, map-major: block ``k`` of a level is map ``k+1`` applied
+    to the level before.  Levels are written in place, last map first, so the
+    source (block 0) goes last.  Returns the images (complex, or rows of 3),
+    then ``rows`` free rows of their length, all views of one float buffer;
+    the first free row holds each composition's contraction factor."""
+    n, d = ifs.n, ifs.dim
+    count = len(starts)
+    size = count * n**levels
+    if size > budget:
         raise NodeBudgetExceeded(
-            f"enumeration would produce {leaves} leaves, budget is {budget}; "
+            f"enumeration would produce {size} leaves, budget is {budget}; "
             "lower the depth or raise the budget"
         )
-
-
-def _word_tree_images(ifs: IfsSystem, out: np.ndarray, levels: int, factors=None):
-    """Fill ``out`` with the images of its first ``len(out) // n**levels``
-    points (complex, or rows of 3) under all depth-``levels`` compositions,
-    map-major: block ``k`` of a level is map ``k+1`` applied to the level
-    before.  Levels are written in place, last map first, so the source
-    (block 0) goes last.  ``factors``, if given, is filled alike from its
-    first entries with contractions."""
-    n = ifs.n
-    count = len(out) // n**levels
+    buf = np.empty((d + rows, size))
+    out = _points(buf[:d].reshape(size, d))
+    out[:count] = starts
+    buf[d : d + 1, :count] = 1.0  # the factors, if there are free rows
+    factors = buf[d] if rows else None
     # kept per layout: a complex multiply is not a 2x2 matmul bit for bit,
     # and real (N, 2) rows measured 10x slower (ROADMAP "decided against")
-    diff = np.empty((len(out) // n, 3)) if ifs.dim == 3 else None
+    diff = np.empty((size // n, 3)) if d == 3 else None
     for _ in range(levels):
         src = out[:count]
         for k in range(n - 1, -1, -1):
             m, dst = ifs.maps[k], out[k * count : (k + 1) * count]
-            if ifs.dim == 2:
+            if d == 2:
                 np.multiply(m.phi, np.subtract(src, m.p, out=dst), out=dst)
             else:
                 np.subtract(src, m.p, out=diff[:count])
@@ -469,6 +463,7 @@ def _word_tree_images(ifs: IfsSystem, out: np.ndarray, levels: int, factors=None
             if factors is not None:
                 np.multiply(factors[:count], m.lam, out=factors[k * count : (k + 1) * count])
         count *= n
+    return (out, *buf[d:])
 
 
 def address_points(
@@ -488,10 +483,7 @@ def address_points(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    _check_budget(ifs.n ** (depth + 1), budget)
-    pts = _points(np.empty((ifs.n ** (depth + 1), ifs.dim)))
-    pts[: ifs.n] = ifs.fixed_points
-    _word_tree_images(ifs, pts, depth)
+    (pts,) = _word_tree_images(ifs, ifs.fixed_points, depth, budget)
     if not dedupe:
         return pts
     # lexsort and a neighbour mask give np.unique's result ~50x faster

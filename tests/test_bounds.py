@@ -28,7 +28,6 @@ from ifsbound import (
     tighten,
     verify_containment,
 )
-from ifsbound.bounds import _word_images
 from ifsbound.ifs import _word_tree_images
 from conftest import (
     cantor_ifs,
@@ -440,6 +439,11 @@ class TestTighten:
         with pytest.raises(NodeBudgetExceeded):
             tighten(cantor_ifs(), Ball(0.5, 0.5), 4, budget=8)
 
+    def test_budget_boundary(self):
+        tighten(cantor_ifs(), Ball(0.5, 0.5), 3, budget=8)  # 2^3 words
+        with pytest.raises(NodeBudgetExceeded, match="enumeration would produce 8 leaves, budget is 7"):
+            tighten(cantor_ifs(), Ball(0.5, 0.5), 3, budget=7)
+
     def test_monotone_and_below_coarse_bound(self):
         rng = np.random.default_rng(56)
         for _ in range(60):
@@ -486,11 +490,7 @@ def _tighten_reference(ifs, b, levels):
     contraction factors, the smallest-ball input (a list, which min_ball
     copies into coordinate rows) and the reach.  Returns (ball, notes)."""
     assert min(verify_containment(ifs, b)) >= -containment_tol(b.r)
-    size = ifs.n**levels
-    centers = np.empty(size, dtype=complex) if ifs.dim == 2 else np.empty((size, 3))
-    centers[0] = b.c
-    factors = np.ones(size)
-    _word_tree_images(ifs, centers, levels, factors)
+    centers, factors = _word_tree_images(ifs, [b.c], levels, 10**6, rows=1)
     center_ball, _ = min_ball(list(centers))
     c_prime = center_ball.c
     diff = centers - c_prime
@@ -553,7 +553,7 @@ class TestWordImages:
         rng = np.random.default_rng(58 + levels)
         ifs = random_ifs_2d(rng, n=3) if dim == 2 else random_ifs_3d(rng, n=3)
         z = 0.3 - 0.2j if dim == 2 else np.array([0.3, -0.2, 0.5])
-        centers, factors = _word_images(ifs, z, levels, 10**6)
+        centers, factors = _word_tree_images(ifs, [z], levels, 10**6, rows=1)
         words = _all_words(ifs.n, levels)
         assert len(centers) == len(factors) == len(words)
         ref = [apply_word(ifs, w, z) for w in words]

@@ -65,17 +65,17 @@ class TestParseIfs:
         assert ifs.maps[0].phi == pytest.approx(0.5j, abs=1e-15)
 
     def test_contraction_violation_names_map(self):
-        doc = json.dumps(
-            {
-                "dimension": 2,
-                "maps": [
-                    {"p": [0, 0], "phi": [0.5, 0]},
-                    {"p": [1, 0], "lambda": 1.0, "theta": 0.0},
-                ],
-            }
-        )
-        with pytest.raises(IfsDocumentError, match="map 2 is not a contraction"):
-            parse_ifs(doc)
+        # one test over 2D phi, 2D lambda+theta and 3D lambda, so its id stays
+        good2 = {"p": [0, 0], "phi": [0.5, 0]}
+        good3 = {"p": [0, 0, 0], "lambda": 0.5, "axis": [0, 0, 1]}
+        for dim, good, bad in [
+            (2, good2, {"p": [1, 0], "phi": [1.0, 0]}),
+            (2, good2, {"p": [1, 0], "lambda": 1.0, "theta": 0.0}),
+            (3, good3, {"p": [1, 0, 0], "lambda": 1.0, "axis": [0, 0, 1]}),
+        ]:
+            doc = json.dumps({"dimension": dim, "maps": [good, bad]})
+            with pytest.raises(IfsDocumentError, match="map 2: not a contraction"):
+                parse_ifs(doc)
 
     def test_zero_axis_rejected(self):
         doc = json.dumps(
@@ -609,6 +609,37 @@ def test_harmonic_overflow_names_its_cause(tmp_path, capsys):
     assert captured.err == (
         "error: floating-point overflow: the covering radii of the fixed points overflow\n"
     )
+
+
+def test_arithmetic_center_survives_harmonic_overflow(tmp_path, capsys):
+    # the arithmetic center 0 has the finite covering radius 1e308
+    code = _bound_general(tmp_path, [[0, 1e308], [0, -1e308]], "arithmetic")
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    record = json.loads(captured.out)
+    assert record["method"] == "general_arithmetic"
+    assert record["center"] == [0, 0] and record["radius"] == 1e308
+
+
+@pytest.mark.parametrize(
+    "center, err",
+    [
+        ("harmonic", "warning: coincident fixed points: harmonic mean center undefined, "
+         "falling back to the arithmetic mean\n"),
+        ("arithmetic", ""),
+    ],
+    ids=["harmonic", "arithmetic"],
+)
+def test_warning_is_one_stderr_line(center, err, tmp_path):
+    out, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(stderr):
+            code = _bound_general(tmp_path, [[0.5, 0.5], [0.5, 0.5]], center)
+    assert code == 0
+    record = json.loads(out.getvalue(), parse_constant=lambda name: pytest.fail(name))
+    assert record["center"] == [0.5, 0.5]
+    assert stderr.getvalue() == err
 
 
 @pytest.mark.parametrize("center", ["arithmetic", "harmonic"])

@@ -44,6 +44,20 @@ class TestSimilitudeValidation:
         with pytest.raises(ValueError):
             Similitude2(p=0, phi=0.0)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Similitude2(p=0, phi=1.0),
+            lambda: Similitude2(p=0, phi=0.0),
+            lambda: Similitude3(p=np.zeros(3), lam=1.5, rot=np.eye(3)),
+            lambda: Similitude3(p=np.zeros(3), lam=0.0, rot=np.eye(3)),
+        ],
+        ids=["2d-unit", "2d-zero", "3d-above-one", "3d-zero"],
+    )
+    def test_constructors_name_the_contraction(self, build):
+        with pytest.raises(ValueError, match="not a contraction"):
+            build()
+
     def test_lam_theta_accessors(self):
         m = Similitude2(p=1j, phi=0.5 * cmath.exp(1j * 0.7))
         assert m.lam == pytest.approx(0.5, abs=1e-15)
@@ -235,6 +249,11 @@ class TestAddressPoints:
         with pytest.raises(NodeBudgetExceeded):
             address_points(cantor_ifs(), 19)  # 2^20 points, just above the default
         address_points(cantor_ifs(), 19, budget=2**20)  # raising it works
+
+    def test_budget_boundary(self):
+        assert len(address_points(cantor_ifs(), 2, budget=8)) == 8  # 2^3 leaves
+        with pytest.raises(NodeBudgetExceeded, match="enumeration would produce 8 leaves, budget is 7"):
+            address_points(cantor_ifs(), 2, budget=7)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_dedupe_matches_unique(self, dim):
