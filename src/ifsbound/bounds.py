@@ -127,18 +127,17 @@ def mean_centers(ifs: IfsSystem):
     they all overflow to inf the weights vanish and ``OverflowError`` is raised.
     """
     pts = ifs.fixed_points
-    n = ifs.n
     c_a = _arithmetic_center(ifs)
+    if ifs.n == 1:
+        return c_a, c_a
     rhos = [radius_function(ifs, p) for p in pts]
-    if any(rho == 0.0 for rho in rhos) and n > 1:
+    if any(rho == 0.0 for rho in rhos):
         warnings.warn(
             "coincident fixed points: harmonic mean center undefined, "
             "falling back to the arithmetic mean",
             RuntimeWarning,
             stacklevel=2,
         )
-        return c_a, c_a
-    if n == 1:
         return c_a, c_a
     wsum = sum(1.0 / rho for rho in rhos)
     if wsum == 0.0:
@@ -183,6 +182,11 @@ def general_bounding_ball(ifs: IfsSystem, center: str = "optimal") -> BoundRepor
 # ---------------------------------------------------------------------------
 
 
+def _require_plane(ifs: IfsSystem, n: int, name: str) -> None:
+    if ifs.dim != 2 or ifs.n != n:
+        raise ValueError(f"{name} needs a 2D system with exactly {n} maps")
+
+
 def _cross(z1: complex, z2: complex) -> float:
     return z1.real * z2.imag - z1.imag * z2.real
 
@@ -201,10 +205,7 @@ def circumcircle_trifractal(ifs: IfsSystem) -> BoundReport:
     both failures raise :class:`CircumcircleError` so callers can fall back
     to the general bounding ball.
     """
-    if ifs.dim != 2:
-        raise ValueError("circumcircle_trifractal needs a 2D system")
-    if ifs.n != 3:
-        raise ValueError("circumcircle_trifractal needs exactly 3 maps")
+    _require_plane(ifs, 3, "circumcircle_trifractal")
     p1, p2, p3 = ifs.fixed_points
     a1, a2, a3 = ((1.0 - m.lam) / m.mu for m in ifs.maps)
 
@@ -248,8 +249,7 @@ def apply_M(ifs: IfsSystem, b: Ball) -> Ball:
     common center with the larger contracted radius is returned and a
     warning is emitted.
     """
-    if ifs.dim != 2 or ifs.n != 2:
-        raise ValueError("apply_M needs a 2D system with exactly 2 maps")
+    _require_plane(ifs, 2, "apply_M")
     m1, m2 = ifs.maps
     t1 = m1.apply(b.c)
     t2 = m2.apply(b.c)
@@ -275,10 +275,7 @@ def circumcircle_bifractal(ifs: IfsSystem) -> BoundReport:
     degenerate to a radius-zero ball (the attractor is that single point),
     reported with a note.
     """
-    if ifs.dim != 2:
-        raise ValueError("circumcircle_bifractal needs a 2D system")
-    if ifs.n != 2:
-        raise ValueError("circumcircle_bifractal needs exactly 2 maps")
+    _require_plane(ifs, 2, "circumcircle_bifractal")
     m1, m2 = ifs.maps
     p1, p2 = m1.p, m2.p
     if p1 == p2:

@@ -275,11 +275,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True, help="IFS JSON document")
+    line = dict(type=float, nargs=4, metavar=("AX", "AY", "UX", "UY"))  # --line's spec
 
     def command(name, func, summary):
         p = sub.add_parser(name, parents=[common], help=summary)
         p.set_defaults(func=func)
         return p
+
+    def ball_options(p, required):
+        p.add_argument("--center", type=float, nargs="+", required=required, metavar="X")
+        p.add_argument("--radius", type=float, required=required)
 
     p_bound = command("bound", _cmd_bound, "compute a bounding ball")
     p_bound.add_argument(
@@ -292,25 +297,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="center strategy for the general method",
     )
 
-    p_verify = command("verify", _cmd_verify, "check a ball's containment slack")
-    p_verify.add_argument(
-        "--center", type=float, nargs="+", required=True, metavar="X"
-    )
-    p_verify.add_argument("--radius", type=float, required=True)
+    ball_options(command("verify", _cmd_verify, "check a ball's containment slack"), required=True)
 
     p_tighten = command("tighten", _cmd_tighten, "refine a verified bounding ball")
-    p_tighten.add_argument("--center", type=float, nargs="+", metavar="X")
-    p_tighten.add_argument("--radius", type=float)
+    ball_options(p_tighten, required=False)
     p_tighten.add_argument("--levels", type=int, default=1)
 
     p_isect = command("intersect", _cmd_intersect, "fractal-line intersection intervals")
-    p_isect.add_argument(
-        "--line",
-        type=float,
-        nargs=4,
-        required=True,
-        metavar=("AX", "AY", "UX", "UY"),
-    )
+    p_isect.add_argument("--line", required=True, **line)
     p_isect.add_argument("--eps", type=float, default=1e-3)
 
     p_sample = command("sample", _cmd_sample, "sample attractor points")
@@ -323,9 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--count", type=int, default=5000)
     p_render.add_argument("--seed", type=int, default=1)
     p_render.add_argument("--depth", type=int)
-    p_render.add_argument(
-        "--line", type=float, nargs=4, metavar=("AX", "AY", "UX", "UY")
-    )
+    p_render.add_argument("--line", **line)
     return parser
 
 

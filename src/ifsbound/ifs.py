@@ -148,6 +148,8 @@ class Similitude3:
     def __post_init__(self):
         object.__setattr__(self, "p", _as_point(self.p, 3, "fixed point"))
         object.__setattr__(self, "lam", float(self.lam))
+        if not math.isfinite(self.lam):
+            raise ValueError("non-finite map parameter")
         if not 0.0 < self.lam < 1.0:
             raise ValueError(f"not a contraction (lambda = {self.lam:.6g})")
         rot = np.array(self.rot, dtype=float)
@@ -278,8 +280,8 @@ def parse_ifs(text: str) -> IfsSystem:
         if not isinstance(rec, dict):
             raise IfsDocumentError(f"map {i} must be an object")
         try:
+            p = _floats(rec.get("p"), dim, f"map {i} p")
             if dim == 2:
-                px, py = _floats(rec.get("p"), 2, f"map {i} p")
                 if "phi" in rec:
                     re, im = _floats(rec["phi"], 2, f"map {i} phi")
                     phi = complex(re, im)
@@ -291,9 +293,8 @@ def parse_ifs(text: str) -> IfsSystem:
                     raise IfsDocumentError(
                         f"map {i} needs either phi or lambda+theta"
                     )
-                maps.append(Similitude2(p=complex(px, py), phi=phi))
+                maps.append(Similitude2(p=complex(*p), phi=phi))
             else:
-                p = _floats(rec.get("p"), 3, f"map {i} p")
                 if "lambda" not in rec:
                     raise IfsDocumentError(f"map {i} needs lambda")
                 lam = float(rec["lambda"])
@@ -310,33 +311,23 @@ def parse_ifs(text: str) -> IfsSystem:
 
 
 def _axis_angle_of(rot: np.ndarray):
-    """Recover (axis, angle) from a rotation matrix via quaternion extraction."""
+    """Recover (axis, angle) from a rotation matrix by Shepperd's quaternion extraction."""
     m = rot
     t = float(np.trace(m))
     if t > 0.0:
         s = math.sqrt(t + 1.0) * 2.0
         w = 0.25 * s
-        x = (m[2, 1] - m[1, 2]) / s
-        y = (m[0, 2] - m[2, 0]) / s
-        z = (m[1, 0] - m[0, 1]) / s
-    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        w = (m[2, 1] - m[1, 2]) / s
-        x = 0.25 * s
-        y = (m[0, 1] + m[1, 0]) / s
-        z = (m[0, 2] + m[2, 0]) / s
-    elif m[1, 1] > m[2, 2]:
-        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        w = (m[0, 2] - m[2, 0]) / s
-        x = (m[0, 1] + m[1, 0]) / s
-        y = 0.25 * s
-        z = (m[1, 2] + m[2, 1]) / s
+        q = [(m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
     else:
-        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        w = (m[1, 0] - m[0, 1]) / s
-        x = (m[0, 2] + m[2, 0]) / s
-        y = (m[1, 2] + m[2, 1]) / s
-        z = 0.25 * s
+        # a tie goes to the later axis: pi about (1, 1, 0) leads with y
+        a = 0 if m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2] else 1 if m[1, 1] > m[2, 2] else 2
+        b, c = (a + 1) % 3, (a + 2) % 3
+        j, k = sorted((b, c))  # the other two, subtracted in index order as rounding needs
+        s = math.sqrt(1.0 + m[a, a] - m[j, j] - m[k, k]) * 2.0
+        w = (m[c, b] - m[b, c]) / s
+        q = [0.0] * 3
+        q[a], q[b], q[c] = 0.25 * s, (m[a, b] + m[b, a]) / s, (m[a, c] + m[c, a]) / s
+    x, y, z = q
     if w < 0.0:
         w, x, y, z = -w, -x, -y, -z
     norm_v = math.sqrt(x * x + y * y + z * z)

@@ -161,23 +161,22 @@ def intersect_line(
     c, a, u = _coords(bound.c)[:, None], _coords(line.a), _coords(line.u)
     keys = np.arange(1, n + 1, dtype=np.min_scalar_type(n))
     shift, lin, words = np.zeros((1, dim)), np.eye(dim)[None], np.empty((1, 0), keys.dtype)
-    t_lo, t_hi, emitted = [], [], []
+    kept, emitted = [], []  # per level: the (t0, gap, radius) rows and words of emitted nodes
     visited = 1
     while True:
         center = shift + _mul(lin, c)[..., 0]
         radius = np.hypot.reduce(lin[:, :, 0], axis=1) * bound.r
         t0 = _mul((center - a)[:, None], u[:, None])[:, 0, 0]
         gap = np.hypot.reduce(center - (a + t0[:, None] * u), axis=1)
-        h = np.sqrt(np.maximum(0.0, radius * radius - gap * gap))
         hit = gap - radius <= 0.0
         pending = hit & (radius > eps)
         count = int(np.count_nonzero(pending))
         truncated = visited + n * count > budget
-        # leaves first, then on cutoff the unexpanded nodes of this level
-        for keep in (hit & ~pending, pending) if truncated else (hit & ~pending,):
-            t_lo.append(t0[keep] - h[keep] - eps)
-            t_hi.append(t0[keep] + h[keep] + eps)
-            emitted.append(words[keep])
+        keep = hit & ~pending
+        if truncated:  # leaves first, then the unexpanded nodes of this level
+            keep = np.concatenate((np.flatnonzero(keep), np.flatnonzero(pending)))
+        kept.append(np.array((t0, gap, radius))[:, keep])
+        emitted.append(words[keep])
         if not count or truncated:
             break
         visited += n * count
@@ -185,7 +184,8 @@ def intersect_line(
         shift = (shift[pending, None] + _mul(lin, offsets)[..., 0]).reshape(-1, dim)
         lin = _mul(lin, lins).reshape(-1, dim, dim)
         words = np.column_stack((np.repeat(words[pending], n, axis=0), np.tile(keys, count)))
+    t0, gap, radius = np.concatenate(kept, axis=1)
+    h = np.sqrt(np.maximum(0.0, radius * radius - gap * gap))
     return LineIntersection(
-        intervals=_merge(np.concatenate(t_lo), np.concatenate(t_hi), emitted),
-        truncated=truncated,
+        intervals=_merge(t0 - h - eps, t0 + h + eps, emitted), truncated=truncated
     )

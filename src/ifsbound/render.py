@@ -106,6 +106,14 @@ def _extent(layer):
     return None  # infinite lines carry no finite extent
 
 
+def _pad_axis(lo: float, hi: float, margin: float, pad: float):
+    """Step one axis out by ``margin`` of its span (of ``pad`` when it is
+    empty), then widen it by ``pad`` if it is still empty."""
+    step = margin * (hi - lo if hi - lo > 0 else pad)
+    lo, hi = lo - step, hi + step
+    return (lo - pad / 2, hi + pad / 2) if hi == lo else (lo, hi)
+
+
 def auto_viewport(scene: Scene, margin: float = 0.05) -> Viewport:
     """Smallest world rectangle holding every finite primitive, padded by
     ``margin`` of its own span per side, then widened to the canvas aspect."""
@@ -116,21 +124,9 @@ def auto_viewport(scene: Scene, margin: float = 0.05) -> Viewport:
     ymin = min(b[1] for b in boxes)
     xmax = max(b[2] for b in boxes)
     ymax = max(b[3] for b in boxes)
-    span_x = xmax - xmin
-    span_y = ymax - ymin
-    pad = max(span_x, span_y)
-    if pad == 0.0:
-        pad = 1.0
-    xmin -= margin * (span_x if span_x > 0 else pad)
-    xmax += margin * (span_x if span_x > 0 else pad)
-    ymin -= margin * (span_y if span_y > 0 else pad)
-    ymax += margin * (span_y if span_y > 0 else pad)
-    if xmax == xmin:
-        xmin -= pad / 2
-        xmax += pad / 2
-    if ymax == ymin:
-        ymin -= pad / 2
-        ymax += pad / 2
+    pad = max(xmax - xmin, ymax - ymin) or 1.0
+    xmin, xmax = _pad_axis(xmin, xmax, margin, pad)
+    ymin, ymax = _pad_axis(ymin, ymax, margin, pad)
     # widen the short axis so world aspect matches the canvas aspect
     w, h = scene.canvas
     target = w / h

@@ -372,6 +372,20 @@ class TestCircumcircleBifractal:
             circumcircle_bifractal(sierpinski_ifs())
 
 
+@pytest.mark.parametrize(
+    "construct",
+    [
+        lambda: circumcircle_trifractal(cantor_ifs()),
+        lambda: circumcircle_bifractal(sierpinski_ifs()),
+        lambda: apply_M(random_ifs_3d(np.random.default_rng(5), n=2), Ball([0, 0, 0], 1.0)),
+    ],
+    ids=["trifractal-2-maps", "bifractal-3-maps", "apply_M-3d"],
+)
+def test_plane_constructions_share_one_guard(construct):
+    with pytest.raises(ValueError, match="needs a 2D system with exactly"):
+        construct()
+
+
 class TestBestBoundingBall:
     def test_prefers_tighter_circumcircle(self):
         report = best_bounding_ball(mixed_bifractal())

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ifsbound
-from ifsbound import IfsDocumentError, parse_ifs, serialize_ifs
+from ifsbound import IfsDocumentError, IfsSystem, Similitude3, parse_ifs, serialize_ifs
 from ifsbound.cli import NonFiniteRecordError, _jnum, _jval, _point_rows, main
 from conftest import random_ifs_2d, random_ifs_3d
 
@@ -124,6 +124,31 @@ class TestRoundTrip:
                 assert np.max(np.abs(a.p - b.p)) <= 1e-12
                 assert abs(a.lam - b.lam) <= 1e-12
                 assert np.max(np.abs(a.rot - b.rot)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "axis, angle",
+        [
+            ([0, 0, 1], 0.0),
+            ([1, 0, 0], math.pi),
+            ([0, 1, 0], math.pi),
+            ([0, 0, 1], math.pi),
+            ([1, 1, 0], math.pi),
+            ([1, 0, 1], math.pi),
+            ([0, 1, 1], math.pi),
+            ([1, 1, 1], math.pi),
+            ([1, 2, 3], math.pi - 1e-9),
+            ([1, 2, 3], -(math.pi - 1e-9)),
+            ([1, 2, 3], 1e-9),
+        ],
+        ids=["identity", "pi-x", "pi-y", "pi-z", "pi-xy", "pi-xz", "pi-yz", "pi-xyz",
+             "near-pi", "near-minus-pi", "tiny"],
+    )
+    def test_every_quaternion_branch_round_trips(self, axis, angle):
+        # the trace branch and each diagonal branch of _axis_angle_of,
+        # including the ties of a half turn about a diagonal axis
+        m = Similitude3.from_axis_angle(p=[0, 0, 0], lam=0.5, axis=axis, angle=angle)
+        back = parse_ifs(serialize_ifs(IfsSystem(maps=(m,))))
+        assert np.max(np.abs(back.maps[0].rot - m.rot)) <= 1e-12
 
     def test_half_turn_rotation_round_trip(self):
         doc = json.dumps(
@@ -671,6 +696,19 @@ def test_plane_only_commands_reject_space_documents(argv, message, tmp_path, cap
     assert captured.out == ""
     assert captured.err == message + "\n"
     assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_non_finite_lambda_reads_alike_in_both_dimensions(dim, value, tmp_path, capsys):
+    rest = '"theta": 0' if dim == 2 else '"axis": [0, 0, 1], "angle": 0'
+    path = tmp_path / "doc.json"
+    path.write_text(f'{{"dimension": {dim}, "maps": [{{"p": {[0] * dim}, "lambda": {value}, {rest}}}]}}')
+    code = main(["bound", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: map 1: non-finite map parameter\n"
 
 
 _HOSTILE = [0.0, 1e308, -1e308, 1.7e308, -1.7e308, 5e-324, -5e-324, 2.5e-310]

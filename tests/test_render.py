@@ -50,6 +50,26 @@ class TestAutoViewport:
         assert vp.width == pytest.approx(vp.height)
         assert vp.width == pytest.approx(1.0)
 
+    # exact values: each expected bound is the arithmetic auto_viewport does
+    def test_single_point_exact(self):
+        vp = auto_viewport(Scene(layers=(PointCloud(points=(0.3 + 0.7j,)),)), margin=0.0)
+        assert (vp.xmin, vp.ymin, vp.xmax, vp.ymax) == (0.3 - 0.5, 0.7 - 0.5, 0.3 + 0.5, 0.7 + 0.5)
+
+    def test_horizontal_segment_exact(self):
+        scene = Scene(layers=(PointCloud(points=(0.2 + 0.5j, 1.4 + 0.5j)),), canvas=(400, 400))
+        vp = auto_viewport(scene, margin=0.1)
+        step = 0.1 * (1.4 - 0.2)
+        xmin, xmax, ymin, ymax = 0.2 - step, 1.4 + step, 0.5 - step, 0.5 + step
+        grow = (xmax - xmin) / 1.0 - (ymax - ymin)
+        assert (vp.xmin, vp.ymin, vp.xmax, vp.ymax) == (xmin, ymin - grow / 2, xmax, ymax + grow / 2)
+
+    def test_single_circle_exact(self):
+        scene = Scene(layers=(CircleOutline(ball=Ball(0.5 + 0.25j, 0.75)),), canvas=(400, 200))
+        vp = auto_viewport(scene, margin=0.0)
+        xmin, xmax, ymin, ymax = 0.5 - 0.75, 0.5 + 0.75, 0.25 - 0.75, 0.25 + 0.75
+        grow = (ymax - ymin) * 2.0 - (xmax - xmin)
+        assert (vp.xmin, vp.ymin, vp.xmax, vp.ymax) == (xmin - grow / 2, ymin, xmax + grow / 2, ymax)
+
     def test_degenerate_single_point_padded(self):
         scene = Scene(layers=(PointCloud(points=(0.3 + 0.3j,)),))
         vp = auto_viewport(scene, margin=0.0)

@@ -42,8 +42,9 @@ def test_tightness_survey():
 
 def test_parity_against_itself():
     root = Path(__file__).resolve().parent.parent
-    result = _run_script("parity.py", str(root), "--seeds", "1", "--workloads", "cli,refine")
+    result = _run_script("parity.py", str(root), "--seeds", "1", "--workloads", "cli,refine,line_query")
     assert result.returncode == 0, result.stdout + result.stderr
     assert "cli seed 1: fingerprint" in result.stdout
     assert "refine seed 1: fingerprint" in result.stdout
-    assert result.stdout.splitlines()[-1] == "2 decks, 320 ops here: 0 differences"
+    assert "line_query seed 1: fingerprint" in result.stdout
+    assert result.stdout.splitlines()[-1] == "3 decks, 620 ops here: 0 differences"
