@@ -32,6 +32,7 @@ from .ifs import (
     IfsSystem,
     DEFAULT_NODE_BUDGET,
     dist,
+    _coords,
     _word_tree_images,
 )
 from .minball import min_ball, radius_function
@@ -334,6 +335,73 @@ def best_bounding_ball(ifs: IfsSystem) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
+# ``tighten`` scans its n^L word images by blocks of n^m words (n^m the
+# largest power of n up to _BLOCK_WORDS) from _BLOCKS_FROM words on; below
+# that a full pass measured as fast
+_BLOCK_WORDS = 64
+_BLOCKS_FROM = 8192
+
+
+def _block_depth(n: int, levels: int) -> int:
+    """Depth m of the word blocks ``tighten`` scans by, 0 for none."""
+    m = 0
+    if n**levels >= _BLOCKS_FROM:
+        while n ** (m + 1) <= _BLOCK_WORDS:
+            m += 1
+    return m
+
+
+def _norms(diff: np.ndarray, out=None) -> np.ndarray:
+    """Length of each point of ``diff``, which a 3D call overwrites."""
+    # kept per layout: np.abs of a complex and a row norm round apart
+    if diff.ndim == 1:
+        return np.abs(diff, out=out)
+    return np.sqrt(np.square(diff, out=diff).sum(axis=1, out=out), out=out)
+
+
+def _reach(points, factors, c, r: float, out=None) -> np.ndarray:
+    """``|points - c| + factors * r``, computed over ``points`` and ``factors``."""
+    out = _norms(np.subtract(points, c, out=points), out)
+    out += np.multiply(factors, r, out=factors)
+    return out
+
+
+def _tighten_by_blocks(ifs, b, slack, levels, centers, factors, inner, outer):
+    """``tighten``'s smallest ball and covering radius, scanning its word
+    images by blocks.  ``inner`` holds the depth-m images T_u(c) and their
+    factors, ``outer`` the depth-(L-m) images T_v(c) and factors lambda_v.
+    Block v holds the words T_v(T_u(c)), which lie within lambda_v * rho of
+    T_v(c), rho being the largest |T_u(c) - c|."""
+    (pts_u, lams_u), (pts_v, lams_v) = inner, outer
+    # The rounding allowance.  B(c, grow) maps into itself under every map
+    # (it makes every slack nonnegative), so it holds every exact word image
+    # and fixed point, and span = |c| + grow bounds their size.  One tree
+    # level rounds off at most ~8 ulps of span in 3D (a 3-term dot product,
+    # a scale and two adds; less in 2D).  A block's bound meets three such
+    # errors over L levels (in its words, in T_v(c) and in T_u(c)); the
+    # distances and comparisons add a few ulps of span, the factor products
+    # a few ulps of b.r.  The allowance covers all of them several times
+    # over; an inf or NaN bound only keeps its block.
+    grow = b.r - min(s / (1.0 - mm.lam) for s, mm in zip(slack, ifs.maps))
+    span = float(np.abs(_coords(b.c)).sum()) + grow
+    allowance = 64 * (levels + 1) * 2.0**-52 * (span + b.r)
+    spread = lams_v * float(_norms(pts_u - b.c).max()) + allowance
+    center_ball, _ = min_ball(centers, _blocks=(pts_v, spread))
+    c = center_ball.c
+    # the covering radius likewise: at least the largest one of the blocks'
+    # first words, at most |T_v(c) - c'| + spread + lambda_v * lambda_u * r
+    # in block v; only the blocks that can reach that far are computed
+    size = len(pts_u)
+    low = _reach(centers[::size].copy(), factors[::size].copy(), c, b.r).max()
+    top = _norms(pts_v - c) + spread + lams_v * (float(lams_u.max()) * b.r)
+    near = (~(top < low)).nonzero()[0]
+
+    def gather(a):
+        return a.reshape(-1, size, *a.shape[1:])[near].reshape(-1, *a.shape[1:])
+
+    return center_ball, float(_reach(gather(centers), gather(factors), c, b.r).max())
+
+
 def tighten(
     ifs: IfsSystem,
     b: Ball,
@@ -351,6 +419,14 @@ def tighten(
     factor combinations) the input ball is returned unchanged, so the
     output radius never exceeds the input radius.
 
+    From 8192 words on, the smallest-ball passes and the covering radius
+    read only the blocks of words that can reach the farthest point: block
+    ``v`` (its words share their first letters ``v``) lies within
+    ``lambda_v * rho_m`` of ``T_v(c)``, ``rho_m`` being the farthest of
+    the depth-m images ``T_u(c)`` from ``c``.  The result is the same, bit
+    for bit; the blocks that can reach are copied and scanned, the others
+    are skipped.
+
     The input must carry a nonnegative containment certificate; the output
     bounds the attractor by construction but is generally not certified by
     per-map slack, so deeper refinement should increase ``levels`` rather
@@ -364,17 +440,17 @@ def tighten(
             "input ball is not a verified bounding ball "
             f"(min slack {min(slack):.3e})"
         )
-    centers, factors, reach = _word_tree_images(ifs, [b.c], levels, budget, rows=2)
-    center_ball, _ = min_ball(centers)
-    c_prime = center_ball.c
-    diff = np.subtract(centers, c_prime, out=centers)  # min_ball is done with them
-    # kept per layout: np.abs of a complex and a row norm round apart
-    if ifs.dim == 2:
-        np.abs(diff, out=reach)
+    m = _block_depth(ifs.n, levels)
+    centers, factors, reach, *kept = _word_tree_images(
+        ifs, [b.c], levels, budget, rows=2, keep=(m, levels - m) if m else ()
+    )
+    if kept:
+        center_ball, radius = _tighten_by_blocks(ifs, b, slack, levels, centers, factors, *kept)
     else:
-        np.sqrt(np.square(diff, out=diff).sum(axis=1, out=reach), out=reach)
-    reach += np.multiply(factors, b.r, out=factors)
-    radius = float(np.max(reach))
+        center_ball, _ = min_ball(centers)
+        # min_ball is done with the images and factors: overwritten in place
+        radius = float(np.max(_reach(centers, factors, center_ball.c, b.r, reach)))
+    c_prime = center_ball.c
     coarse = center_ball.r + ifs.lambda_star**levels * b.r
     notes = (f"coarse radius bound {coarse:.12g}",)
     if radius > b.r:

@@ -418,13 +418,17 @@ def apply_word(ifs: IfsSystem, word: Iterable[int], z: Point):
     return z, factor
 
 
-def _word_tree_images(ifs: IfsSystem, starts, levels: int, budget: int, rows: int = 0):
+def _word_tree_images(
+    ifs: IfsSystem, starts, levels: int, budget: int, rows: int = 0, keep: tuple = ()
+):
     """Images of the points ``starts`` under all depth-``levels``
     compositions, map-major: block ``k`` of a level is map ``k+1`` applied
     to the level before.  Levels are written in place, last map first, so the
     source (block 0) goes last.  Returns the images (complex, or rows of 3),
     then ``rows`` free rows of their length, all views of one float buffer;
-    the first free row holds each composition's contraction factor."""
+    the first free row holds each composition's contraction factor.  Then,
+    for each level in ``keep`` (1 to ``levels``; needs ``rows``), a copy of
+    its images and of their factors, taken as the walk passes it."""
     n, d = ifs.n, ifs.dim
     count = len(starts)
     size = count * n**levels
@@ -441,7 +445,8 @@ def _word_tree_images(ifs: IfsSystem, starts, levels: int, budget: int, rows: in
     # kept per layout: a complex multiply is not a 2x2 matmul bit for bit,
     # and real (N, 2) rows measured 10x slower (ROADMAP "decided against")
     diff = np.empty((size // n, 3)) if d == 3 else None
-    for _ in range(levels):
+    kept = {}
+    for level in range(1, levels + 1):
         src = out[:count]
         for k in range(n - 1, -1, -1):
             m, dst = ifs.maps[k], out[k * count : (k + 1) * count]
@@ -454,7 +459,9 @@ def _word_tree_images(ifs: IfsSystem, starts, levels: int, budget: int, rows: in
             if factors is not None:
                 np.multiply(factors[:count], m.lam, out=factors[k * count : (k + 1) * count])
         count *= n
-    return (out, *buf[d:])
+        if level in keep:
+            kept[level] = out[:count].copy(), factors[:count].copy()
+    return (out, *buf[d:], *(kept[level] for level in keep))
 
 
 def address_points(

@@ -5,7 +5,13 @@ and Robust Smallest Enclosing Balls", ESA 1999): the ball is spanned by at
 most d+1 support points, and each step adds the point farthest from the
 center, found by one vectorised distance pass, then solves that small set
 exactly.  The radius grows with every step; the loop ends when no point is
-outside or the radius stops growing in floating point.
+outside or the radius stops growing in floating point.  A caller that knows
+a ball around each contiguous block of points (``tighten`` does, for its
+word tree) can let the pass skip the blocks that cannot hold the farthest
+point (the culling of Hart and DeFanti, SIGGRAPH 1991); the point found and
+its distance are the same floats.  Point sets of magnitude beyond 2^500 or
+below 2^-400 are solved scaled by a power of two, so no square overflows or
+underflows.
 
 Also hosts the radius function of an IFS: the distance from a query point
 to its farthest fixed point, the smallest covering radius centered there.
@@ -40,16 +46,37 @@ def radius_function(ifs: IfsSystem, z) -> float:
     return max(dist(p, z) for p in ifs.fixed_points)
 
 
-def _coordinates(points) -> np.ndarray:
-    """Points as a ``(d, N)`` float array, one row per axis.  Array input is
-    read through a view, never copied (a fresh copy of a large array costs
-    more in page faults than its strided rows cost the distance pass)."""
+# magnitudes solved as given: no squared distance overflows, and none
+# underflows below the normal range (a spread of one ulp at 2^-400 squares
+# to 2^-904); outside it the points are scaled by a power of two, which is
+# exact
+_IN_RANGE = (2.0**-400, 2.0**500)
+
+
+def _coordinates(points) -> tuple:
+    """Points as a ``(d, N)`` float array, one row per axis; the same
+    points to solve on, scaled by ``2**-e``; and the binary exponent ``e``:
+    0 for magnitudes within ``_IN_RANGE`` (or all zero), else that of the
+    largest magnitude.  Array input is read through a view, never copied (a
+    fresh copy of a large array costs more in page faults than its strided
+    rows cost the distance pass)."""
     cols = _rows(points if isinstance(points, np.ndarray) else list(points)).T
     if cols.shape[1] == 0:
         raise ValueError("min_ball needs at least one point")
-    if not np.all(np.isfinite(cols)):
+    # two reductions without a temporary array: faster than np.isfinite
+    hi, lo = float(np.max(cols)), float(np.min(cols))
+    if not (hi < math.inf and lo > -math.inf):  # NaN fails both
         raise ValueError("non-finite coordinate")
-    return cols
+    m = max(hi, -lo)
+    if _IN_RANGE[0] <= m <= _IN_RANGE[1] or m == 0.0:
+        return cols, cols, 0
+    e = math.frexp(m)[1]
+    return cols, np.ldexp(cols, -e), e
+
+
+def _ball(c, r: float, e: int, d: int) -> Ball:
+    """The ball ``(c, r)`` solved at exponent ``e``, scaled back (exactly)."""
+    return Ball(tuple(math.ldexp(x, e) for x in c[:d]), math.ldexp(r, e))
 
 
 def _point(cols: np.ndarray, i: int) -> tuple:
@@ -120,7 +147,41 @@ def _pivot(q, d: int):
     return best
 
 
-def min_ball(points) -> tuple:
+def _dist2(cols: np.ndarray, c, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Squared distances of the points ``cols`` (one row per axis) from
+    ``c``, in ``out``.  Only correctly rounded steps, so each value is the
+    same float whichever array it is computed in."""
+    np.square(np.subtract(cols[0], c[0], out=out), out=out)
+    for row, ci in zip(cols[1:], c[1:]):
+        np.add(out, np.square(np.subtract(row, ci, out=tmp), out=tmp), out=out)
+    return out
+
+
+def _farthest(cols: np.ndarray, c, d2: np.ndarray, tmp: np.ndarray, blocks):
+    """Index and squared distance of the point farthest from ``c``, the
+    first on ties.  ``blocks``, if given, is ``(probes, radii)`` for equal
+    contiguous blocks of points: ``probes`` holds the first point of each
+    block, then the center of a ball around each block.  The farthest
+    squared distance is at least the largest one of the first points; only
+    the blocks whose ball reaches that far are gathered (in index order) and
+    scanned, so the result is the one of a full scan."""
+    # ndarray methods: np.max and friends cost microseconds of dispatch
+    if blocks is None:
+        k = int(_dist2(cols, c, d2, tmp).argmax())
+        return k, d2[k]
+    probes, radii = blocks
+    nb = len(radii)
+    near2 = _dist2(probes, c, d2[: 2 * nb], tmp[: 2 * nb])
+    top = np.add(np.sqrt(near2[nb:], out=tmp[:nb]), radii, out=tmp[:nb])
+    low = near2[:nb].max()
+    near = (~(np.square(top, out=top) < low)).nonzero()[0]  # NaN keeps its block
+    size = cols.shape[1] // nb
+    rows = cols.reshape(len(cols), nb, size)[:, near].reshape(len(cols), -1)
+    j = int(_dist2(rows, c, d2[: rows.shape[1]], tmp[: rows.shape[1]]).argmax())
+    return int(near[j // size]) * size + j % size, d2[j]
+
+
+def min_ball(points, *, _blocks=None) -> tuple:
     """Smallest enclosing ball of a nonempty point set.
 
     Returns ``(Ball, SupportSet)``.  Accepts complex numbers, ``(x, y)``
@@ -129,26 +190,34 @@ def min_ball(points) -> tuple:
     from the first point and always takes the farthest point (the first one
     on ties): nothing is random, so repeated calls are bit-for-bit identical.
     Support indices come sorted.  The radius is the largest distance from
-    the center to any input point, so every point is covered.
+    the center to any input point, so every point is covered.  Each pivot
+    step reads every point once, or, with the private ``_blocks`` =
+    ``(centers, radii)`` of balls around equal contiguous blocks of the
+    points, only the blocks that can hold the farthest point; the result is
+    the same either way.
     """
-    cols = _coordinates(points)
+    cols, work, e = _coordinates(points)
+    if _blocks is not None:
+        centers, radii = _blocks
+        firsts = work[:, :: cols.shape[1] // len(radii)]
+        centers = _rows(centers).T
+        if e:
+            centers, radii = np.ldexp(centers, -e), np.ldexp(radii, -e)
+        _blocks = np.hstack((firsts, centers)), radii
     d = len(cols)
     d2, tmp = np.empty((2, cols.shape[1]))  # reused: fresh large arrays page-fault
-    support, c, r2 = [0], _point(cols, 0), 0.0
+    support, c, r2 = [0], _point(work, 0), 0.0
     while True:
-        np.square(np.subtract(cols[0], c[0], out=d2), out=d2)
-        for row, ci in zip(cols[1:], c[1:]):
-            np.add(d2, np.square(np.subtract(row, ci, out=tmp), out=tmp), out=d2)
-        k = int(np.argmax(d2))
-        if d2[k] <= r2:
+        k, far2 = _farthest(work, c, d2, tmp, _blocks)
+        if far2 <= r2:
             break
         ids = support + [k]
-        center, reach, members = _pivot([_point(cols, i) for i in ids], d)
+        center, reach, members = _pivot([_point(work, i) for i in ids], d)
         if reach <= r2:
             break
         support, c, r2 = [ids[i] for i in members], center, reach
     support.sort()
-    ball = Ball(c[:d], math.sqrt(d2[k]))
+    ball = _ball(c, math.sqrt(far2), e, d)
     points_out = tuple(_as_point(cols[:, i]) for i in support)
     return ball, SupportSet(points=points_out, indices=tuple(support))
 
@@ -160,11 +229,11 @@ def ball_from_support(points) -> Ball:
     (3D) the circumball.  Degenerate inputs (collinear, coplanar) fall back
     to the smallest ball covering the points, so the function is total.
     """
-    cols = _coordinates(points)
+    cols, work, e = _coordinates(points)
     d, k = cols.shape
     if k > d + 1:
         raise ValueError(f"at most {d + 1} support points in {d}D, got {k}")
-    *_, (_, c, rank) = _centers([_point(cols, i) for i in range(k)], d)
+    *_, (_, c, rank) = _centers([_point(work, i) for i in range(k)], d)
     if rank < k - 1:
         return min_ball(cols.T)[0]
-    return Ball(c[:d], float(np.max(np.linalg.norm(cols.T - c[:d], axis=1))))
+    return _ball(c, float(np.max(np.linalg.norm(work.T - c[:d], axis=1))), e, d)

@@ -13,7 +13,16 @@ from itertools import combinations
 
 import numpy as np
 
-from ifsbound import IfsSystem, Similitude2, Similitude3
+from ifsbound import (
+    Ball,
+    IfsSystem,
+    Similitude2,
+    Similitude3,
+    containment_tol,
+    min_ball,
+    verify_containment,
+)
+from ifsbound.ifs import _word_tree_images
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +57,28 @@ def random_ifs_3d(rng, n=None, lam_range=(0.1, 0.8)):
         p = rng.uniform(0.0, 1.0, size=3)
         maps.append(Similitude3.from_axis_angle(p=p, lam=lam, axis=axis, angle=angle))
     return IfsSystem(maps=tuple(maps))
+
+
+def touching_ifs(rng, n, dim=2):
+    """Random system of factor 1/2 without rotation and fixed points on a
+    1/8 grid: its word images are exact dyadic numbers, many of them equal,
+    and many distances tie."""
+    maps = []
+    for _ in range(n):
+        p = rng.integers(0, 9, size=dim) / 8.0
+        if dim == 2:
+            maps.append(Similitude2(p=complex(*p), phi=0.5))
+        else:
+            maps.append(Similitude3(p=p, lam=0.5, rot=np.eye(3)))
+    return IfsSystem(maps=tuple(maps))
+
+
+def translated(ifs, offset):
+    """``ifs`` with every fixed point moved by ``offset`` (a complex number
+    in 2D, a 3-vector in 3D)."""
+    if ifs.dim == 2:
+        return IfsSystem(maps=tuple(Similitude2(p=m.p + offset, phi=m.phi) for m in ifs.maps))
+    return IfsSystem(maps=tuple(Similitude3(p=m.p + offset, lam=m.lam, rot=m.rot) for m in ifs.maps))
 
 
 def cantor_ifs():
@@ -132,3 +163,28 @@ def as_vec(z):
         z = complex(z)
         return np.array([z.real, z.imag])
     return np.asarray(z, dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# full-scan tighten (reference)
+# ---------------------------------------------------------------------------
+
+
+def tighten_full_scan(ifs, b, levels):
+    """``tighten`` written with a fresh array for every step and a full scan
+    of every word image: word images, contraction factors, the smallest-ball
+    input (a list, which min_ball copies into coordinate rows and scans in
+    full) and the reach.  Returns (ball, notes)."""
+    assert min(verify_containment(ifs, b)) >= -containment_tol(b.r)
+    centers, factors = _word_tree_images(ifs, [b.c], levels, 10**6, rows=1)
+    center_ball, _ = min_ball(list(centers))
+    c_prime = center_ball.c
+    diff = centers - c_prime
+    reach = np.abs(diff) if ifs.dim == 2 else np.sqrt(np.square(diff).sum(axis=1))
+    reach = reach + factors * b.r
+    radius = float(np.max(reach))
+    coarse = center_ball.r + ifs.lambda_star**levels * b.r
+    notes = (f"coarse radius bound {coarse:.12g}",)
+    if radius > b.r:
+        return Ball(b.c, b.r), notes + ("refinement did not shrink the ball; input kept",)
+    return Ball(c_prime, radius), notes

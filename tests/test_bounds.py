@@ -28,6 +28,7 @@ from ifsbound import (
     tighten,
     verify_containment,
 )
+from ifsbound import bounds
 from ifsbound.ifs import _word_tree_images
 from conftest import (
     cantor_ifs,
@@ -35,6 +36,9 @@ from conftest import (
     random_ifs_2d,
     random_ifs_3d,
     sierpinski_ifs,
+    tighten_full_scan,
+    touching_ifs,
+    translated,
 )
 
 
@@ -499,25 +503,6 @@ class TestTighten:
         assert gap <= report.ball.r + containment_tol(report.ball.r)
 
 
-def _tighten_reference(ifs, b, levels):
-    """``tighten`` written with a fresh array for every step: word images,
-    contraction factors, the smallest-ball input (a list, which min_ball
-    copies into coordinate rows) and the reach.  Returns (ball, notes)."""
-    assert min(verify_containment(ifs, b)) >= -containment_tol(b.r)
-    centers, factors = _word_tree_images(ifs, [b.c], levels, 10**6, rows=1)
-    center_ball, _ = min_ball(list(centers))
-    c_prime = center_ball.c
-    diff = centers - c_prime
-    reach = np.abs(diff) if ifs.dim == 2 else np.sqrt(np.square(diff).sum(axis=1))
-    reach = reach + factors * b.r
-    radius = float(np.max(reach))
-    coarse = center_ball.r + ifs.lambda_star**levels * b.r
-    notes = (f"coarse radius bound {coarse:.12g}",)
-    if radius > b.r:
-        return Ball(b.c, b.r), notes + ("refinement did not shrink the ball; input kept",)
-    return Ball(c_prime, radius), notes
-
-
 class TestTightenReference:
     """``tighten`` works in one buffer and reads its word images through a
     view; it must give what the copying formulation gives, bit for bit."""
@@ -546,7 +531,7 @@ class TestTightenReference:
                 base = Ball(np.array([base.c.real, base.c.imag, 0.0]), base.r)
             for levels in range(7):
                 report = tighten(ifs, base, levels)
-                ball, notes = _tighten_reference(ifs, base, levels)
+                ball, notes = tighten_full_scan(ifs, base, levels)
                 assert np.asarray(report.ball.c).tobytes() == np.asarray(ball.c).tobytes()
                 assert report.ball.r == ball.r
                 assert report.method == "tightened"
@@ -555,6 +540,89 @@ class TestTightenReference:
                 assert report.mu_star == mu_star(ifs)
                 kept += "input kept" in notes[-1]
         assert kept > 0  # the "input kept" branch is compared too
+
+
+class TestBlockScan:
+    """From 8192 words on, ``tighten`` scans its word images by blocks: its
+    smallest ball and covering radius must be those of the full scan, bit
+    for bit, with the same support indices and notes."""
+
+    ENGAGE = 8192
+
+    @staticmethod
+    def _check(ifs, base, levels):
+        calls = []
+
+        def spy(points, **kwargs):
+            result = min_ball(points, **kwargs)
+            calls.append((points.copy(), kwargs, result))
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "min_ball", spy)
+            report = tighten(ifs, base, levels)
+        ball, notes = tighten_full_scan(ifs, base, levels)
+        assert np.asarray(report.ball.c).tobytes() == np.asarray(ball.c).tobytes()
+        assert report.ball.r == ball.r
+        assert report.notes == notes
+        ((points, kwargs, (center_ball, support)),) = calls
+        full_ball, full_support = min_ball(points)
+        assert np.asarray(center_ball.c).tobytes() == np.asarray(full_ball.c).tobytes()
+        assert center_ball.r == full_ball.r
+        assert support.indices == full_support.indices
+        return bool(kwargs)
+
+    @staticmethod
+    def _sizes(n):
+        """The largest depth whose word count lies below the size the block
+        scan starts at, and the next depth, at or above it."""
+        below = max(L for L in range(1, 20) if n**L < TestBlockScan.ENGAGE)
+        return below, below + 1
+
+    KINDS = ["generic", "touching", "generic_3d", "touching_3d"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_full_scan(self, kind):
+        rng = np.random.default_rng(120 + self.KINDS.index(kind))
+        blocked = 0
+        for i in range(10):
+            n = 2 + i % 3
+            if kind == "generic":
+                ifs = random_ifs_2d(rng, n=n, lam_range=(0.2, 0.7))
+            elif kind == "generic_3d":
+                ifs = random_ifs_3d(rng, n=n, lam_range=(0.2, 0.7))
+            else:
+                ifs = touching_ifs(rng, n, dim=3 if kind == "touching_3d" else 2)
+            base = best_bounding_ball(ifs).ball
+            for levels in self._sizes(n):
+                blocked += self._check(ifs, base, levels)
+        assert blocked == 10  # the larger size of each system scans by blocks
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_translated_far_from_origin(self, dim):
+        # |p| ~ 1e6: the rounding allowance grows with the size of the points
+        rng = np.random.default_rng(130 + dim)
+        offset = 1e6 * (1 + 1j) if dim == 2 else np.array([1e6, -1e6, 1e6])
+        for i in range(8):
+            n = 2 + i % 3
+            ifs = random_ifs_2d(rng, n=n) if dim == 2 else random_ifs_3d(rng, n=n)
+            ifs = translated(ifs, offset)
+            base = general_bounding_ball(ifs).ball
+            assert self._check(ifs, base, self._sizes(n)[1])
+
+    def test_huge_and_tiny_points(self):
+        # solved at a scaled exponent inside min_ball, blocks included
+        for scale in (1e155, 1e-200):
+            maps = tuple(Similitude2(p=scale * p, phi=0.5) for p in (1, -1, 0.5j))
+            ifs = IfsSystem(maps=maps)
+            base = general_bounding_ball(ifs).ball  # the circumcircle overflows
+            assert self._check(ifs, base, 9)
+
+    def test_engages_from_8192_words(self):
+        ifs = random_ifs_2d(np.random.default_rng(140), n=2)
+        base = best_bounding_ball(ifs).ball
+        assert not self._check(ifs, base, 12)
+        assert self._check(ifs, base, 13)
 
 
 class TestWordImages:

@@ -579,7 +579,7 @@ def _huge_document(dim) -> str:
     "dim, argv",
     [
         (2, ["bound"]),
-        (2, ["bound", "--method", "general"]),
+        (2, ["bound", "--method", "general", "--center", "harmonic"]),
         (2, ["tighten"]),
         (2, ["intersect", "--line", "0", "0", "1", "0"]),
         (2, ["sample", "--depth", "1"]),
@@ -604,6 +604,17 @@ def test_overflow_is_one_error_line(dim, argv, tmp_path):
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+
+
+def test_optimal_center_of_huge_fixed_points(tmp_path, capsys):
+    # the fixed points +-1.7e308 are 3.4e308 apart, but the ball is finite
+    path = tmp_path / "huge.json"
+    path.write_text(_huge_document(2))
+    code = main(["bound", "--method", "general", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    record = json.loads(captured.out)
+    assert record["center"] == [0, 0] and record["radius"] == 1.7e308
 
 
 def test_circumcircle_overflow_names_its_cause(tmp_path, capsys):
@@ -665,6 +676,30 @@ def test_warning_is_one_stderr_line(center, err, tmp_path):
     record = json.loads(out.getvalue(), parse_constant=lambda name: pytest.fail(name))
     assert record["center"] == [0.5, 0.5]
     assert stderr.getvalue() == err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound"],
+        ["bound", "--method", "general", "--center", "optimal"],
+        ["bound", "--method", "general", "--center", "best"],
+        ["bound", "--method", "general", "--center", "arithmetic"],
+        ["tighten"],
+        ["tighten", "--levels", "9"],
+    ],
+    ids=["bound", "optimal", "best", "arithmetic", "tighten", "tighten_blocks"],
+)
+def test_spread_beyond_square_range(argv, tmp_path, capsys):
+    # fixed points 2e155 apart: their squared distance overflows unscaled
+    path = tmp_path / "doc.json"
+    maps = [{"p": p, "phi": [0.5, 0]} for p in ([1e155, 0], [-1e155, 0], [0, 0])]
+    path.write_text(json.dumps({"dimension": 2, "maps": maps}))
+    code = main([*argv, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    record = json.loads(captured.out)
+    assert record["center"] == [0, 0] and record["radius"] == 1e155
 
 
 @pytest.mark.parametrize("center", ["arithmetic", "harmonic"])

@@ -85,6 +85,11 @@ class TestMinBallExamples:
             min_ball([0j, complex(float("nan"), 0)])
         with pytest.raises(ValueError):
             min_ball([np.array([0.0, 0.0, float("inf")])])
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="non-finite coordinate"):
+                min_ball([1e300, complex(0, value)])
+            with pytest.raises(ValueError, match="non-finite coordinate"):
+                ball_from_support([0j, complex(value, 0)])
 
     def test_collinear_point_set(self):
         pts = [complex(x, 2 * x) for x in (0.0, 0.25, 0.4, 0.7, 1.0)]
@@ -288,7 +293,7 @@ class TestArrayInput:
             pts.flags.writeable = False
             ref = min_ball([tuple(p) for p in pts])
         before = base.copy()
-        assert np.shares_memory(minball._coordinates(pts), base)
+        assert np.shares_memory(minball._coordinates(pts)[0], base)
         _same(min_ball(pts), ref)
         assert np.array_equal(base, before)
 
@@ -313,6 +318,50 @@ class TestArrayInput:
             min_ball(np.zeros((5, 4)))
         with pytest.raises(ValueError):
             min_ball(np.array([0j, complex(0, float("inf"))]))
+
+
+class TestMagnitudeRange:
+    """Point sets of magnitude beyond about 2^+-500 are solved scaled by a
+    power of two, so squared distances neither overflow nor underflow."""
+
+    def test_spread_beyond_square_range(self):
+        ball, support = min_ball([1e155, -1e155, 0j])
+        assert ball.c == 0 and ball.r == 1e155
+        assert support.indices == (0, 1)
+        assert support.points == (1e155 + 0j, -1e155 + 0j)
+        ball = ball_from_support([1e155 + 0j, -1e155 + 0j])
+        assert ball.c == 0 and ball.r == 1e155
+
+    def test_tiny_spread_keeps_its_radius(self):
+        # (2e-200)^2 underflows to 0 unscaled
+        ball, _ = min_ball([1e-200, -1e-200])
+        assert ball.c == 0 and ball.r == 1e-200
+        assert ball_from_support([1e-200j, -1e-200j]).r == 1e-200
+        # so does the square of one ulp at 2^-490
+        pts = [2.0**-490, 2.0**-490 + 2.0**-542]
+        for ball in (min_ball(pts)[0], ball_from_support(pts)):
+            assert ball.r > 0.0 and all(abs(p - ball.c) <= ball.r for p in pts)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("exponent", [600, -600])
+    def test_scaling_is_exact(self, dim, exponent):
+        """Scaled by 2^k, a point set's ball is the unscaled ball times 2^k,
+        bit for bit, with the same support."""
+
+        def scaled(a):
+            a = np.atleast_1d(np.asarray(a))
+            return np.ldexp(a.view(float), exponent).view(a.dtype)
+
+        rng = np.random.default_rng(70 + dim)
+        for _ in range(10):
+            pts = np.array(random_points(rng, 40, dim, 1.0))
+            ball, support = min_ball(pts)
+            big_ball, big_support = min_ball(scaled(pts))
+            assert np.asarray(big_ball.c).tobytes() == scaled(ball.c).tobytes()
+            assert big_ball.r == math.ldexp(ball.r, exponent)
+            assert big_support.indices == support.indices
+            sub = pts[list(support.indices)]
+            assert ball_from_support(scaled(sub)).r == math.ldexp(ball_from_support(sub).r, exponent)
 
 
 class TestDegenerateSets:
