@@ -21,6 +21,7 @@ contains the attractor.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -33,6 +34,7 @@ from .ifs import (
     DEFAULT_NODE_BUDGET,
     dist,
     _coords,
+    _rows_op,
     _word_tree_images,
 )
 from .minball import min_ball, radius_function
@@ -168,7 +170,12 @@ def general_bounding_ball(ifs: IfsSystem, center: str = "optimal") -> BoundRepor
             c_a = _arithmetic_center(ifs)
             yield "general_arithmetic", c_a, radius_function(ifs, c_a)
         if center in ("harmonic", "best"):
-            c_h = mean_centers(ifs)[1]
+            try:
+                c_h = mean_centers(ifs)[1]
+            except OverflowError:
+                if center == "harmonic":
+                    raise
+                return  # "best" keeps the other candidates
             yield "general_harmonic", c_h, radius_function(ifs, c_h)
 
     if center not in ("optimal", "arithmetic", "harmonic", "best"):
@@ -186,6 +193,14 @@ def general_bounding_ball(ifs: IfsSystem, center: str = "optimal") -> BoundRepor
 def _require_plane(ifs: IfsSystem, n: int, name: str) -> None:
     if ifs.dim != 2 or ifs.n != n:
         raise ValueError(f"{name} needs a 2D system with exactly {n} maps")
+
+
+def _circle_report(ifs: IfsSystem, c: complex, r: float, method: str) -> BoundReport:
+    """The report of a circumcircle; one that overflows the float range is
+    not available."""
+    if not (math.isfinite(r) and cmath.isfinite(c)):
+        raise CircumcircleError("the circumcircle overflows the float range")
+    return _report(ifs, Ball(c, r), method)
 
 
 def _cross(z1: complex, z2: complex) -> float:
@@ -237,7 +252,7 @@ def circumcircle_trifractal(ifs: IfsSystem) -> BoundReport:
         # smaller root of the radius quadratic, in cancellation-free form
         r = r0 / math.sqrt(-d + math.sqrt(disc))
         c = c0 + c1 * r * r
-    return _report(ifs, Ball(c, r), "circum_tri")
+    return _circle_report(ifs, c, r, "circum_tri")
 
 
 def apply_M(ifs: IfsSystem, b: Ball) -> Ball:
@@ -296,7 +311,7 @@ def circumcircle_bifractal(ifs: IfsSystem) -> BoundReport:
         raise CircumcircleError("degenerate factor combination: zero denominator")
     c = (w1 * p1 + w2 * p2) / den
     r = m1.mu * m2.mu / ((1.0 - lam) * abs(den)) * abs(p2 - p1)
-    return _report(ifs, Ball(c, r), "circum_bi")
+    return _circle_report(ifs, c, r, "circum_bi")
 
 
 def circumcircle(ifs: IfsSystem) -> BoundReport:
@@ -356,12 +371,15 @@ def _norms(diff: np.ndarray, out=None) -> np.ndarray:
     # kept per layout: np.abs of a complex and a row norm round apart
     if diff.ndim == 1:
         return np.abs(diff, out=out)
-    return np.sqrt(np.square(diff, out=diff).sum(axis=1, out=out), out=out)
+    # (x^2 + y^2) + z^2 by columns, as .sum(axis=1) adds a row's squares
+    sq = np.square(diff, out=diff)
+    out = np.add(sq[:, 0], sq[:, 1], out=out)
+    return np.sqrt(np.add(out, sq[:, 2], out=out), out=out)
 
 
 def _reach(points, factors, c, r: float, out=None) -> np.ndarray:
     """``|points - c| + factors * r``, computed over ``points`` and ``factors``."""
-    out = _norms(np.subtract(points, c, out=points), out)
+    out = _norms(_rows_op(np.subtract, points, c, points), out)
     out += np.multiply(factors, r, out=factors)
     return out
 
@@ -393,7 +411,8 @@ def _tighten_by_blocks(ifs, b, slack, levels, centers, factors, inner, outer):
     # in block v; only the blocks that can reach that far are computed
     size = len(pts_u)
     low = _reach(centers[::size].copy(), factors[::size].copy(), c, b.r).max()
-    top = _norms(pts_v - c) + spread + lams_v * (float(lams_u.max()) * b.r)
+    dist_v = _norms(_rows_op(np.subtract, pts_v, c, pts_v))  # pts_v is not read again
+    top = dist_v + spread + lams_v * (float(lams_u.max()) * b.r)
     near = (~(top < low)).nonzero()[0]
 
     def gather(a):

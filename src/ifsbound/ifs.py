@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, Union
@@ -61,6 +62,12 @@ def _as_point(value, dim=None, name="point") -> Point:
     return z
 
 
+def _point_of(xs) -> Point:
+    """The point with the finite coordinates ``xs``, a list or tuple of
+    two or three floats."""
+    return complex(*xs) if len(xs) == 2 else _as_point(xs)
+
+
 def _as_direction(value, dim: int) -> Point:
     """A nonzero direction of dimension ``dim`` scaled to unit length.  A
     number is divided by its modulus, a sequence by its vector norm, as the
@@ -95,6 +102,32 @@ def _points(rows: np.ndarray) -> np.ndarray:
     return rows.view(complex)[:, 0] if rows.shape[1] == 2 else rows
 
 
+# from this many points on, "3D points op one 3-vector" runs flat against
+# the vector tiled: broadcast over (N, 3) rows, NumPy's inner loop would
+# cover only one point's three coordinates
+_FLAT_FROM = 64
+
+
+def _tiled(v: np.ndarray, count: int) -> np.ndarray:
+    """The 3-vector ``v`` repeated at least ``count`` times, flat."""
+    # np.tile copies one repeat at a time: 64 of them first, then blocks
+    block = np.repeat(v[None], min(count, _FLAT_FROM), 0).reshape(-1)
+    return block if count <= _FLAT_FROM else np.tile(block, -(-count // _FLAT_FROM))
+
+
+def _rows_op(op, pts: np.ndarray, v, out: np.ndarray, tiled=None) -> np.ndarray:
+    """``op(pts, v)`` into ``out``: complex points or C-ordered ``(N, 3)``
+    rows, and one point ``v``.  Rows of at least ``_FLAT_FROM`` points run
+    flat against ``tiled`` (``v`` tiled for at least N points; made here if
+    not given): the same elementwise operations in one long loop."""
+    if pts.ndim == 1 or len(pts) < _FLAT_FROM:
+        return op(pts, v, out=out)
+    if tiled is None:
+        tiled = _tiled(v, len(pts))
+    op(pts.reshape(-1, copy=False), tiled[: pts.size], out=out.reshape(-1, copy=False))
+    return out
+
+
 @dataclass(frozen=True)
 class Similitude2:
     """Plane contraction ``z -> p + phi*(z - p)`` with fixed point ``p``."""
@@ -110,7 +143,7 @@ class Similitude2:
         if not 0.0 < abs(self.phi) < 1.0:
             raise ValueError(f"not a contraction (|phi| = {abs(self.phi):.6g})")
 
-    @property
+    @cached_property
     def lam(self) -> float:
         """Contraction factor |phi|."""
         return abs(self.phi)
@@ -236,11 +269,11 @@ class IfsSystem:
     def dim(self) -> int:
         return self.maps[0].dim
 
-    @property
+    @cached_property
     def fixed_points(self) -> tuple:
         return tuple(m.p for m in self.maps)
 
-    @property
+    @cached_property
     def lambda_star(self) -> float:
         """Largest contraction factor of the system."""
         return max(m.lam for m in self.maps)
@@ -371,12 +404,25 @@ def point_dim(z: Point) -> int:
     return 2 if isinstance(z, _NUMBER) else 3
 
 
+# sums of three squares that ``v . v`` forms without overflow, and in the
+# normal range
+_SQUARES_IN_RANGE = (sys.float_info.min, 2.0**1023)
+
+
 def dist(a: Point, b: Point) -> float:
-    """Euclidean distance, dimension-aware."""
-    # kept per layout: a complex modulus and a vector norm round apart
+    """Euclidean distance, dimension-aware.  A 3D distance is
+    ``sqrt(v . v)``, as ``np.linalg.norm`` computes it, unless ``v . v``
+    would overflow or fall below the normal range: then ``math.hypot``,
+    which does neither."""
+    # kept per layout: a complex modulus (hypot) and a vector norm round apart
     if isinstance(a, _NUMBER):
         return abs(complex(a) - complex(b))
-    return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
+    v = np.asarray(a, float) - np.asarray(b, float)
+    x, y, z = v.tolist()
+    s = x * x + y * y + z * z  # Python floats: an overflow is inf, not a warning
+    if 0.0 < s < _SQUARES_IN_RANGE[0] or s > _SQUARES_IN_RANGE[1]:
+        return math.hypot(x, y, z)
+    return math.sqrt(v.dot(v))
 
 
 def apply_map(m: Similitude, z: Point) -> Point:
@@ -445,6 +491,9 @@ def _word_tree_images(
     # kept per layout: a complex multiply is not a 2x2 matmul bit for bit,
     # and real (N, 2) rows measured 10x slower (ROADMAP "decided against")
     diff = np.empty((size // n, 3)) if d == 3 else None
+    tiles = [None] * n  # each map's fixed point, tiled once for its row ops
+    if d == 3 and size // n >= _FLAT_FROM:
+        tiles = [_tiled(m.p, size // n) for m in ifs.maps]
     kept = {}
     for level in range(1, levels + 1):
         src = out[:count]
@@ -453,9 +502,9 @@ def _word_tree_images(
             if d == 2:
                 np.multiply(m.phi, np.subtract(src, m.p, out=dst), out=dst)
             else:
-                np.subtract(src, m.p, out=diff[:count])
+                _rows_op(np.subtract, src, m.p, diff[:count], tiles[k])
                 np.multiply(np.matmul(diff[:count], m.rot.T, out=dst), m.lam, out=dst)
-            np.add(dst, m.p, out=dst)
+            _rows_op(np.add, dst, m.p, dst, tiles[k])
             if factors is not None:
                 np.multiply(factors[:count], m.lam, out=factors[k * count : (k + 1) * count])
         count *= n

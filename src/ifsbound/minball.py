@@ -26,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .ifs import Ball, IfsSystem, _as_point, _rows, dist
+from .ifs import Ball, IfsSystem, _point_of, _rows, dist
 
 # an edge whose part off the span of the earlier edges is below this
 # fraction of its length counts as degenerate (flat simplex)
@@ -46,6 +46,14 @@ def radius_function(ifs: IfsSystem, z) -> float:
     return max(dist(p, z) for p in ifs.fixed_points)
 
 
+# a full pass over fewer points than this reads a contiguous copy of them,
+# which costs less than the strided rows of a view cost the passes; from
+# tighten's block-scan threshold on, the copy's page faults cost more
+_COPY_BELOW = 8192
+# up to this many points (and no blocks), the passes run in Python floats:
+# a NumPy call costs more than a short loop
+_FLOATS_UP_TO = 64
+
 # magnitudes solved as given: no squared distance overflows, and none
 # underflows below the normal range (a spread of one ulp at 2^-400 squares
 # to 2^-904); outside it the points are scaled by a power of two, which is
@@ -57,14 +65,14 @@ def _coordinates(points) -> tuple:
     """Points as a ``(d, N)`` float array, one row per axis; the same
     points to solve on, scaled by ``2**-e``; and the binary exponent ``e``:
     0 for magnitudes within ``_IN_RANGE`` (or all zero), else that of the
-    largest magnitude.  Array input is read through a view, never copied (a
-    fresh copy of a large array costs more in page faults than its strided
-    rows cost the distance pass)."""
+    largest magnitude.  Array input is read through a view, never copied
+    (:func:`min_ball` copies the rows of small sets for its passes)."""
     cols = _rows(points if isinstance(points, np.ndarray) else list(points)).T
     if cols.shape[1] == 0:
         raise ValueError("min_ball needs at least one point")
     # two reductions without a temporary array: faster than np.isfinite
-    hi, lo = float(np.max(cols)), float(np.min(cols))
+    # (ndarray methods: np.max and np.min cost microseconds of dispatch)
+    hi, lo = float(cols.max()), float(cols.min())
     if not (hi < math.inf and lo > -math.inf):  # NaN fails both
         raise ValueError("non-finite coordinate")
     m = max(hi, -lo)
@@ -76,7 +84,7 @@ def _coordinates(points) -> tuple:
 
 def _ball(c, r: float, e: int, d: int) -> Ball:
     """The ball ``(c, r)`` solved at exponent ``e``, scaled back (exactly)."""
-    return Ball(tuple(math.ldexp(x, e) for x in c[:d]), math.ldexp(r, e))
+    return Ball(_point_of([math.ldexp(x, e) for x in c[:d]]), math.ldexp(r, e))
 
 
 def _point(cols: np.ndarray, i: int) -> tuple:
@@ -139,7 +147,9 @@ def _pivot(q, d: int):
         reach = 0.0
         for x, y, z in reversed(q):  # q[-1] first: the candidate's own radius
             dx, dy, dz = x - cx, y - cy, z - cz
-            reach = max(reach, dx * dx + dy * dy + dz * dz)
+            s = dx * dx + dy * dy + dz * dz
+            if s > reach:  # as max(reach, s), without the call
+                reach = s
             if best is not None and reach >= best[1]:
                 break
         else:
@@ -181,6 +191,20 @@ def _farthest(cols: np.ndarray, c, d2: np.ndarray, tmp: np.ndarray, blocks):
     return int(near[j // size]) * size + j % size, d2[j]
 
 
+def _farthest_floats(pts: list, c) -> tuple:
+    """:func:`_farthest` over points given as float triples: the same
+    correctly rounded steps in Python floats (a plane point's ``z = 0`` adds
+    an exact zero)."""
+    cx, cy, cz = c
+    k, far2 = 0, -1.0
+    for i, (x, y, z) in enumerate(pts):
+        dx, dy, dz = x - cx, y - cy, z - cz
+        s = dx * dx + dy * dy + dz * dz
+        if s > far2:  # the first on ties, as argmax
+            k, far2 = i, s
+    return k, far2
+
+
 def min_ball(points, *, _blocks=None) -> tuple:
     """Smallest enclosing ball of a nonempty point set.
 
@@ -194,31 +218,51 @@ def min_ball(points, *, _blocks=None) -> tuple:
     step reads every point once, or, with the private ``_blocks`` =
     ``(centers, radii)`` of balls around equal contiguous blocks of the
     points, only the blocks that can hold the farthest point; the result is
-    the same either way.
+    the same either way.  The passes read up to 64 points as Python floats,
+    fewer than 8192 as a contiguous copy of the coordinates, and more (or
+    with blocks) through a view of array input; each path forms the same
+    correctly rounded operations, so the result is the same bit for bit.
     """
     cols, work, e = _coordinates(points)
-    if _blocks is not None:
-        centers, radii = _blocks
-        firsts = work[:, :: cols.shape[1] // len(radii)]
-        centers = _rows(centers).T
-        if e:
-            centers, radii = np.ldexp(centers, -e), np.ldexp(radii, -e)
-        _blocks = np.hstack((firsts, centers)), radii
-    d = len(cols)
-    d2, tmp = np.empty((2, cols.shape[1]))  # reused: fresh large arrays page-fault
-    support, c, r2 = [0], _point(work, 0), 0.0
+    d, count = cols.shape
+    if _blocks is None and count <= _FLOATS_UP_TO:
+        pts = [(*p, 0.0)[:3] for p in work.T.tolist()]  # see _point
+
+        def farthest(c):
+            return _farthest_floats(pts, c)
+
+        point = pts.__getitem__
+    else:
+        if _blocks is not None:
+            centers, radii = _blocks
+            firsts = work[:, :: count // len(radii)]
+            centers = _rows(centers).T
+            if e:
+                centers, radii = np.ldexp(centers, -e), np.ldexp(radii, -e)
+            _blocks = np.hstack((firsts, centers)), radii
+        elif count < _COPY_BELOW:
+            work = np.ascontiguousarray(work)
+        d2, tmp = np.empty((2, count))  # reused: fresh large arrays page-fault
+
+        def farthest(c):
+            return _farthest(work, c, d2, tmp, _blocks)
+
+        def point(i):
+            return _point(work, i)
+
+    support, c, r2 = [0], point(0), 0.0
     while True:
-        k, far2 = _farthest(work, c, d2, tmp, _blocks)
+        k, far2 = farthest(c)
         if far2 <= r2:
             break
         ids = support + [k]
-        center, reach, members = _pivot([_point(work, i) for i in ids], d)
+        center, reach, members = _pivot([point(i) for i in ids], d)
         if reach <= r2:
             break
         support, c, r2 = [ids[i] for i in members], center, reach
     support.sort()
     ball = _ball(c, math.sqrt(far2), e, d)
-    points_out = tuple(_as_point(cols[:, i]) for i in support)
+    points_out = tuple(_point_of(cols[:, i].tolist()) for i in support)
     return ball, SupportSet(points=points_out, indices=tuple(support))
 
 

@@ -22,6 +22,7 @@ from ifsbound import (
     min_ball,
     verify_containment,
 )
+from ifsbound import minball
 from ifsbound.ifs import _word_tree_images
 
 
@@ -188,3 +189,81 @@ def tighten_full_scan(ifs, b, levels):
     if radius > b.r:
         return Ball(b.c, b.r), notes + ("refinement did not shrink the ball; input kept",)
     return Ball(c_prime, radius), notes
+
+
+# ---------------------------------------------------------------------------
+# reference forms of the fast paths (each must give the same bits)
+# ---------------------------------------------------------------------------
+
+
+def word_tree_reference(ifs, starts, levels):
+    """Word images and contraction factors, each level filled by whole
+    NumPy broadcasts: ``(N, 3)`` rows minus and plus the fixed point as a
+    row vector in 3D, complex arithmetic in 2D."""
+    pts = np.asarray(list(starts)) if ifs.dim == 2 else np.array([np.asarray(s, float) for s in starts])
+    factors = np.ones(len(pts))
+    for _ in range(levels):
+        images, lams = [], []
+        for m in ifs.maps:
+            if ifs.dim == 2:
+                # in place, phi first: NumPy's complex multiply rounds apart
+                # between in-place and fresh output (seen on AVX-512)
+                lin = pts - m.p
+                np.multiply(m.phi, lin, out=lin)
+            else:
+                lin = ((pts - m.p) @ m.rot.T) * m.lam
+            images.append(lin + m.p)
+            lams.append(factors * m.lam)
+        pts, factors = np.concatenate(images), np.concatenate(lams)
+    return pts, factors
+
+
+def norms_reference(diff):
+    """Point lengths: ``np.abs`` in 2D, ``.sum(axis=1)`` of the squares in 3D."""
+    if diff.ndim == 1:
+        return np.abs(diff)
+    return np.sqrt(np.square(diff).sum(axis=1))
+
+
+def dist_reference(a, b):
+    """A 3D distance through ``np.linalg.norm``."""
+    return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
+
+
+def _pivot_reference(q, d):
+    """``minball._pivot`` scoring with one ``max()`` call per point."""
+    best = None
+    for sub, (cx, cy, cz), _ in minball._centers(q, d):
+        reach = 0.0
+        for x, y, z in reversed(q):
+            dx, dy, dz = x - cx, y - cy, z - cz
+            reach = max(reach, dx * dx + dy * dy + dz * dz)
+            if best is not None and reach >= best[1]:
+                break
+        else:
+            best = (cx, cy, cz), reach, sorted(sub)
+    return best
+
+
+def min_ball_reference(points):
+    """``min_ball`` as the NumPy pivot loop over every input size: each
+    step's farthest point comes from a distance pass over the coordinate
+    view, and the ball and support points go through NumPy vectors.
+    Returns (center coordinates, radius, support indices, support point
+    coordinates)."""
+    cols, work, e = minball._coordinates(points)
+    d = len(cols)
+    d2, tmp = np.empty((2, cols.shape[1]))
+    support, c, r2 = [0], minball._point(work, 0), 0.0
+    while True:
+        k, far2 = minball._farthest(work, c, d2, tmp, None)
+        if far2 <= r2:
+            break
+        ids = support + [k]
+        center, reach, members = _pivot_reference([minball._point(work, i) for i in ids], d)
+        if reach <= r2:
+            break
+        support, c, r2 = [ids[i] for i in members], center, reach
+    support.sort()
+    center = np.ldexp(np.array(c[:d]), e)
+    return center, math.ldexp(math.sqrt(far2), e), tuple(support), [cols[:, i].copy() for i in support]

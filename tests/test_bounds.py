@@ -415,6 +415,21 @@ class TestBestBoundingBall:
         report = best_bounding_ball(ifs)
         assert report.method.startswith("general")
 
+    def test_overflowing_candidates_are_skipped(self):
+        # fixed points 2e308 apart: the harmonic weights and the
+        # circumcircle overflow; the optimal center's ball does not
+        phi = cmath.rect(0.4, 0.3)
+        ifs = IfsSystem(maps=(Similitude2(p=1e308j, phi=phi), Similitude2(p=-1e308j, phi=0.5)))
+        with pytest.raises(OverflowError, match="covering radii"):
+            general_bounding_ball(ifs, center="harmonic")
+        with pytest.raises(CircumcircleError, match="overflows"):
+            circumcircle(ifs)
+        best = general_bounding_ball(ifs, center="best")
+        assert best.method == "general" and best.ball.c == 0 and math.isfinite(best.ball.r)
+        report = best_bounding_ball(ifs)
+        assert report.method == "general" and report.ball.r == best.ball.r
+        assert report.notes == ("circumcircle unavailable: the circumcircle overflows the float range",)
+
 
 class TestCircumcircleDispatch:
     def test_picks_construction_by_map_count(self):

@@ -578,24 +578,28 @@ def _huge_document(dim) -> str:
 @pytest.mark.parametrize(
     "dim, argv",
     [
-        (2, ["bound"]),
+        (2, ["bound", "--method", "circum"]),
         (2, ["bound", "--method", "general", "--center", "harmonic"]),
-        (2, ["tighten"]),
+        (2, ["tighten", "--center", "0", "1.7e308", "--radius", "1e308"]),
         (2, ["intersect", "--line", "0", "0", "1", "0"]),
         (2, ["sample", "--depth", "1"]),
         (2, ["sample", "--count", "5"]),
         (2, ["render", "--out", "{tmp}/x.svg", "--count", "10"]),
-        (3, ["bound"]),
-        (3, ["bound", "--method", "general"]),
-        (3, ["verify", "--center", "0", "0", "0", "--radius", "1e308"]),
-        (3, ["tighten"]),
+        (3, ["bound", "--method", "general", "--center", "harmonic"]),
+        # the distance to a fixed point exceeds the float range ...
+        (3, ["verify", "--center", "0", "1.7e308", "0", "--radius", "1e308"]),
+        # ... or already one of its coordinate differences does
+        (3, ["verify", "--center", "1.7e308", "1.7e308", "0", "--radius", "1e308"]),
+        (3, ["tighten", "--center", "0", "1.7e308", "0", "--radius", "1e308"]),
         (3, ["sample", "--depth", "1"]),
         (3, ["sample", "--count", "5"]),
     ],
 )
 def test_overflow_is_one_error_line(dim, argv, tmp_path):
     """Overflowing numbers end in exit 1 and one error line on the real
-    stderr: no traceback and no NumPy warning lines."""
+    stderr: no traceback and no NumPy warning lines.  (The fixed points
+    +-1.7e308 are 3.4e308 apart: the harmonic weights, the bifractal
+    circumcircle and distances from far centers overflow.)"""
     path = tmp_path / "huge.json"
     path.write_text(_huge_document(dim))
     argv = [a.format(tmp=tmp_path) for a in argv]
@@ -604,6 +608,94 @@ def test_overflow_is_one_error_line(dim, argv, tmp_path):
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+
+
+@pytest.mark.parametrize(
+    "dim, argv, code",
+    [
+        (2, ["bound"], 0),
+        (2, ["tighten"], 0),
+        (3, ["bound"], 0),
+        (3, ["bound", "--method", "general"], 0),
+        (3, ["tighten"], 0),
+        (3, ["verify", "--center", "0", "0", "0", "--radius", "1e308"], 1),
+    ],
+    ids=["2d-bound", "2d-tighten", "3d-bound", "3d-general", "3d-tighten", "3d-verify"],
+)
+def test_huge_fixed_points_give_a_record(dim, argv, code, tmp_path):
+    """Balls around the fixed points +-1.7e308 fit the float range: the
+    best center skips the overflowing harmonic one, the circumcircle falls
+    back, and 3D distances do not square out of range."""
+    path = tmp_path / "huge.json"
+    path.write_text(_huge_document(dim))
+    result = _run_python(["-m", "ifsbound.cli", *argv, "--input", str(path)])
+    assert result.returncode == code and result.stderr == ""
+    record = json.loads(result.stdout, parse_constant=lambda name: pytest.fail(name))
+    if argv[0] == "verify":
+        assert record["contained"] is False and record["slack"] == [-3.5e307, -3.5e307]
+    else:
+        assert record["center"] == [0] * dim and record["radius"] == 1.7e308
+        assert record["slack"] == [0, 0]
+
+
+def _far_document(dim, far):
+    """Two maps (lambda 0.4 turning by 0.3 rad, lambda 0.5) with fixed
+    points at +-far on one axis."""
+    if dim == 2:
+        maps = [{"p": [0, y], "lambda": lam, "theta": t} for y, lam, t in ((far, 0.4, 0.3), (-far, 0.5, 0.0))]
+    else:
+        maps = [
+            {"p": [x, 0, 0], "lambda": lam, "axis": [0, 0, 1], "angle": t}
+            for x, lam, t in ((far, 0.4, 0.3), (-far, 0.5, 0.0))
+        ]
+    return json.dumps({"dimension": dim, "maps": maps})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound"],
+        ["bound", "--method", "general", "--center", "optimal"],
+        ["bound", "--method", "general", "--center", "best"],
+        ["bound", "--method", "general", "--center", "harmonic"],
+        ["bound", "--method", "general", "--center", "arithmetic"],
+        ["tighten", "--levels", "2"],
+    ],
+    ids=["bound", "optimal", "best", "harmonic", "arithmetic", "tighten"],
+)
+def test_3d_distances_beyond_square_range(argv, tmp_path, capsys):
+    # fixed points 2e200 apart: their squared distance overflows
+    path = tmp_path / "far.json"
+    path.write_text(_far_document(3, 1e200))
+    code = main([*argv, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    record = json.loads(captured.out)
+    assert record["center"] == [0, 0, 0] and record["radius"] == 1.25814277202e200
+
+
+@pytest.mark.parametrize(
+    "argv", [["bound"], ["bound", "--method", "general", "--center", "best"]], ids=["bound", "best"]
+)
+def test_best_center_skips_an_overflowing_candidate(argv, tmp_path, capsys):
+    # the harmonic weights and the circumcircle overflow, the other centers do not
+    path = tmp_path / "far.json"
+    path.write_text(_far_document(2, 1e308))
+    code = main([*argv, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    record = json.loads(captured.out)
+    assert record["method"] == "general" and record["radius"] == 1.25814277202e308
+
+
+def test_overflowing_circumcircle_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "far.json"
+    path.write_text(_far_document(2, 1e308))
+    code = main(["bound", "--method", "circum", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "overflow" in lines[0]
 
 
 def test_optimal_center_of_huge_fixed_points(tmp_path, capsys):

@@ -276,26 +276,29 @@ class TestArrayInput:
 
     @pytest.mark.parametrize("layout", ["strided_complex", "fortran_3d", "column_slice", "read_only"])
     def test_array_views_match_list(self, layout):
-        """Array input is read through a view of the caller's memory, never
-        written, and gives the list input's result bit for bit."""
+        """Array input is never written and gives the list input's result
+        bit for bit.  From 8192 points on the passes read a view of the
+        caller's memory; below, a contiguous copy."""
         rng = np.random.default_rng(35)
-        if layout == "strided_complex":
-            base = rng.uniform(-2, 2, 1000) + 1j * rng.uniform(-2, 2, 1000)
-            pts, ref = base[::2], min_ball(list(base[::2]))
-        elif layout == "fortran_3d":
-            pts = base = np.asfortranarray(rng.uniform(-2, 2, size=(500, 3)))
-            ref = min_ball([tuple(p) for p in pts])
-        elif layout == "column_slice":
-            base = rng.uniform(-2, 2, size=(500, 3))
-            pts, ref = base[:, :2], min_ball([complex(x, y) for x, y in base[:, :2]])
-        else:
-            pts = base = rng.uniform(-2, 2, size=(500, 3))
-            pts.flags.writeable = False
-            ref = min_ball([tuple(p) for p in pts])
-        before = base.copy()
-        assert np.shares_memory(minball._coordinates(pts)[0], base)
-        _same(min_ball(pts), ref)
-        assert np.array_equal(base, before)
+        for count in (500, 8192):
+            if layout == "strided_complex":
+                base = rng.uniform(-2, 2, 2 * count) + 1j * rng.uniform(-2, 2, 2 * count)
+                pts, ref = base[::2], min_ball(list(base[::2]))
+            elif layout == "fortran_3d":
+                pts = base = np.asfortranarray(rng.uniform(-2, 2, size=(count, 3)))
+                ref = min_ball([tuple(p) for p in pts])
+            elif layout == "column_slice":
+                base = rng.uniform(-2, 2, size=(count, 3))
+                pts, ref = base[:, :2], min_ball([complex(x, y) for x, y in base[:, :2]])
+            else:
+                pts = base = rng.uniform(-2, 2, size=(count, 3))
+                pts.flags.writeable = False
+                ref = min_ball([tuple(p) for p in pts])
+            before = base.copy()
+            if count >= minball._COPY_BELOW:
+                assert np.shares_memory(minball._coordinates(pts)[0], base)
+            _same(min_ball(pts), ref)
+            assert np.array_equal(base, before)
 
     @pytest.mark.parametrize("layout", ["complex", "strided_complex", "rows", "fortran_3d"])
     def test_nan_in_viewed_array_rejected(self, layout):
