@@ -14,8 +14,9 @@ and its own ``src``, over the benchmark decks of the given seeds:
 The decks are built by each checkout's own workloads, and a cli deck calls
 the library under test to pick its ``verify`` arguments, so two commits can
 build different decks from one seed: a differing deck fingerprint is
-reported as deck drift.  Prints each deck's fingerprint and every differing
-op; exits 1 on any difference, 0 when there is none.
+reported as deck drift.  Prints each deck's fingerprint, every differing
+op and the ``src/ifsbound`` line totals of both checkouts (source lines are
+tracked next to timings); exits 1 on any difference, 0 when there is none.
 """
 
 import argparse
@@ -76,6 +77,11 @@ def collect(checkout: Path, seeds, names) -> dict:
     return decks
 
 
+def source_lines(checkout: Path) -> int:
+    """Lines of ``src/ifsbound/*.py`` in ``checkout``, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "ifsbound").glob("*.py"))
+
+
 def run_checkout(checkout: Path, seeds, names) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     argv = [sys.executable, str(Path(__file__).resolve()), "--collect", str(checkout),
@@ -129,6 +135,7 @@ def main(argv=None) -> int:
     this = run_checkout(HERE, seeds, names)
     other = run_checkout(args.other.resolve(), seeds, names)
     differences = compare(this, other)
+    print(f"src/ifsbound: {source_lines(HERE)} lines here, {source_lines(args.other.resolve())} there")
     ops = sum(len(deck["ops"]) for deck in this.values())
     print(f"{len(this)} decks, {ops} ops here: {differences} differences")
     return 1 if differences else 0

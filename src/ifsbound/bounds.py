@@ -34,10 +34,10 @@ from .ifs import (
     DEFAULT_NODE_BUDGET,
     dist,
     _coords,
-    _rows_op,
+    _rows,
     _word_tree_images,
 )
-from .minball import min_ball, radius_function
+from .minball import _IN_RANGE, _ball, min_ball, radius_function
 
 CONTAINMENT_RTOL = 1e-9
 
@@ -371,7 +371,8 @@ def _norms(diff: np.ndarray, out=None) -> np.ndarray:
     # kept per layout: np.abs of a complex and a row norm round apart
     if diff.ndim == 1:
         return np.abs(diff, out=out)
-    # (x^2 + y^2) + z^2 by columns, as .sum(axis=1) adds a row's squares
+    # (x^2 + y^2) + z^2 by columns (axis rows of the word images), as
+    # .sum(axis=1) adds a row's squares
     sq = np.square(diff, out=diff)
     out = np.add(sq[:, 0], sq[:, 1], out=out)
     return np.sqrt(np.add(out, sq[:, 2], out=out), out=out)
@@ -379,7 +380,7 @@ def _norms(diff: np.ndarray, out=None) -> np.ndarray:
 
 def _reach(points, factors, c, r: float, out=None) -> np.ndarray:
     """``|points - c| + factors * r``, computed over ``points`` and ``factors``."""
-    out = _norms(_rows_op(np.subtract, points, c, points), out)
+    out = _norms(np.subtract(points, c, out=points), out)
     out += np.multiply(factors, r, out=factors)
     return out
 
@@ -410,13 +411,14 @@ def _tighten_by_blocks(ifs, b, slack, levels, centers, factors, inner, outer):
     # first words, at most |T_v(c) - c'| + spread + lambda_v * lambda_u * r
     # in block v; only the blocks that can reach that far are computed
     size = len(pts_u)
-    low = _reach(centers[::size].copy(), factors[::size].copy(), c, b.r).max()
-    dist_v = _norms(_rows_op(np.subtract, pts_v, c, pts_v))  # pts_v is not read again
+    low = _reach(centers[::size].copy("F"), factors[::size].copy(), c, b.r).max()
+    dist_v = _norms(np.subtract(pts_v, c, out=pts_v))  # pts_v is not read again
     top = dist_v + spread + lams_v * (float(lams_u.max()) * b.r)
     near = (~(top < low)).nonzero()[0]
 
-    def gather(a):
-        return a.reshape(-1, size, *a.shape[1:])[near].reshape(-1, *a.shape[1:])
+    def gather(a):  # the blocks in near, axis rows kept
+        rows = a.T.reshape(*a.shape[1:], -1, size)
+        return np.take(rows, near, axis=-2).reshape(*a.shape[1:], -1).T
 
     return center_ball, float(_reach(gather(centers), gather(factors), c, b.r).max())
 
@@ -463,12 +465,26 @@ def tighten(
     centers, factors, reach, *kept = _word_tree_images(
         ifs, [b.c], levels, budget, rows=2, keep=(m, levels - m) if m else ()
     )
+    # a radius outside min_ball's range is refined scaled by 2^-e, which is
+    # exact, so no squared 3D distance overflows or underflows; scaled up,
+    # no coordinate passes 2^1023
+    e, work = 0, b
+    if b.r != 0.0 and not _IN_RANGE[0] <= b.r <= _IN_RANGE[1]:
+        c = _coords(b.c).tolist()
+        e = max(math.frexp(b.r)[1], math.frexp(max(map(abs, c)))[1] - 1023)
+        work = _ball(c, b.r, -e, ifs.dim)
+        for pts in (centers, *(pts for pts, _ in kept)):
+            np.ldexp(_rows(pts), -e, out=_rows(pts))
+        slack = [math.ldexp(s, -e) for s in slack]
     if kept:
-        center_ball, radius = _tighten_by_blocks(ifs, b, slack, levels, centers, factors, *kept)
+        center_ball, radius = _tighten_by_blocks(ifs, work, slack, levels, centers, factors, *kept)
     else:
         center_ball, _ = min_ball(centers)
         # min_ball is done with the images and factors: overwritten in place
-        radius = float(np.max(_reach(centers, factors, center_ball.c, b.r, reach)))
+        radius = float(np.max(_reach(centers, factors, center_ball.c, work.r, reach)))
+    if e:
+        center_ball = _ball(_coords(center_ball.c).tolist(), center_ball.r, e, ifs.dim)
+        radius = math.ldexp(radius, e)
     c_prime = center_ball.c
     coarse = center_ball.r + ifs.lambda_star**levels * b.r
     notes = (f"coarse radius bound {coarse:.12g}",)

@@ -102,32 +102,6 @@ def _points(rows: np.ndarray) -> np.ndarray:
     return rows.view(complex)[:, 0] if rows.shape[1] == 2 else rows
 
 
-# from this many points on, "3D points op one 3-vector" runs flat against
-# the vector tiled: broadcast over (N, 3) rows, NumPy's inner loop would
-# cover only one point's three coordinates
-_FLAT_FROM = 64
-
-
-def _tiled(v: np.ndarray, count: int) -> np.ndarray:
-    """The 3-vector ``v`` repeated at least ``count`` times, flat."""
-    # np.tile copies one repeat at a time: 64 of them first, then blocks
-    block = np.repeat(v[None], min(count, _FLAT_FROM), 0).reshape(-1)
-    return block if count <= _FLAT_FROM else np.tile(block, -(-count // _FLAT_FROM))
-
-
-def _rows_op(op, pts: np.ndarray, v, out: np.ndarray, tiled=None) -> np.ndarray:
-    """``op(pts, v)`` into ``out``: complex points or C-ordered ``(N, 3)``
-    rows, and one point ``v``.  Rows of at least ``_FLAT_FROM`` points run
-    flat against ``tiled`` (``v`` tiled for at least N points; made here if
-    not given): the same elementwise operations in one long loop."""
-    if pts.ndim == 1 or len(pts) < _FLAT_FROM:
-        return op(pts, v, out=out)
-    if tiled is None:
-        tiled = _tiled(v, len(pts))
-    op(pts.reshape(-1, copy=False), tiled[: pts.size], out=out.reshape(-1, copy=False))
-    return out
-
-
 @dataclass(frozen=True)
 class Similitude2:
     """Plane contraction ``z -> p + phi*(z - p)`` with fixed point ``p``."""
@@ -420,7 +394,7 @@ def dist(a: Point, b: Point) -> float:
     v = np.asarray(a, float) - np.asarray(b, float)
     x, y, z = v.tolist()
     s = x * x + y * y + z * z  # Python floats: an overflow is inf, not a warning
-    if 0.0 < s < _SQUARES_IN_RANGE[0] or s > _SQUARES_IN_RANGE[1]:
+    if not _SQUARES_IN_RANGE[0] <= s <= _SQUARES_IN_RANGE[1]:  # 0 too: v . v may underflow
         return math.hypot(x, y, z)
     return math.sqrt(v.dot(v))
 
@@ -470,11 +444,13 @@ def _word_tree_images(
     """Images of the points ``starts`` under all depth-``levels``
     compositions, map-major: block ``k`` of a level is map ``k+1`` applied
     to the level before.  Levels are written in place, last map first, so the
-    source (block 0) goes last.  Returns the images (complex, or rows of 3),
-    then ``rows`` free rows of their length, all views of one float buffer;
-    the first free row holds each composition's contraction factor.  Then,
-    for each level in ``keep`` (1 to ``levels``; needs ``rows``), a copy of
-    its images and of their factors, taken as the walk passes it."""
+    source (block 0) goes last.  Returns the images, then ``rows`` free rows
+    of their length, all views of one float buffer; the first free row holds
+    each composition's contraction factor.  Plane images are complex; space
+    images are ``(N, 3)`` with one buffer row per axis (F-ordered), so every
+    "images op one point" runs along an axis row.  Then, for each level in
+    ``keep`` (1 to ``levels``; needs ``rows``), a copy of its images (axis
+    rows kept) and of their factors, taken as the walk passes it."""
     n, d = ifs.n, ifs.dim
     count = len(starts)
     size = count * n**levels
@@ -484,16 +460,13 @@ def _word_tree_images(
             "lower the depth or raise the budget"
         )
     buf = np.empty((d + rows, size))
-    out = _points(buf[:d].reshape(size, d))
+    out = buf[:3].T if d == 3 else _points(buf[:2].reshape(size, 2))
     out[:count] = starts
     buf[d : d + 1, :count] = 1.0  # the factors, if there are free rows
     factors = buf[d] if rows else None
     # kept per layout: a complex multiply is not a 2x2 matmul bit for bit,
     # and real (N, 2) rows measured 10x slower (ROADMAP "decided against")
-    diff = np.empty((size // n, 3)) if d == 3 else None
-    tiles = [None] * n  # each map's fixed point, tiled once for its row ops
-    if d == 3 and size // n >= _FLAT_FROM:
-        tiles = [_tiled(m.p, size // n) for m in ifs.maps]
+    diff = np.empty((3, size // n)).T if d == 3 else None
     kept = {}
     for level in range(1, levels + 1):
         src = out[:count]
@@ -502,14 +475,14 @@ def _word_tree_images(
             if d == 2:
                 np.multiply(m.phi, np.subtract(src, m.p, out=dst), out=dst)
             else:
-                _rows_op(np.subtract, src, m.p, diff[:count], tiles[k])
+                np.subtract(src, m.p, out=diff[:count])
                 np.multiply(np.matmul(diff[:count], m.rot.T, out=dst), m.lam, out=dst)
-            _rows_op(np.add, dst, m.p, dst, tiles[k])
+            np.add(dst, m.p, out=dst)
             if factors is not None:
                 np.multiply(factors[:count], m.lam, out=factors[k * count : (k + 1) * count])
         count *= n
         if level in keep:
-            kept[level] = out[:count].copy(), factors[:count].copy()
+            kept[level] = out[:count].copy("F"), factors[:count].copy()
     return (out, *buf[d:], *(kept[level] for level in keep))
 
 
@@ -533,10 +506,14 @@ def address_points(
     (pts,) = _word_tree_images(ifs, ifs.fixed_points, depth, budget)
     if not dedupe:
         return pts
-    # lexsort and a neighbour mask give np.unique's result ~50x faster
+    # lexsort and a neighbour mask give np.unique's result ~50x faster; the
+    # mask is built by columns, one long inner loop each
     pts = pts[np.lexsort(_rows(pts).T[::-1])]
-    rows = _rows(pts)
-    return pts[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))]
+    new = np.zeros(len(pts), bool)
+    new[0] = True
+    for col in _rows(pts).T:
+        new[1:] |= col[1:] != col[:-1]
+    return pts[new]
 
 
 def chaos_game(

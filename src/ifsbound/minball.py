@@ -5,7 +5,8 @@ and Robust Smallest Enclosing Balls", ESA 1999): the ball is spanned by at
 most d+1 support points, and each step adds the point farthest from the
 center, found by one vectorised distance pass, then solves that small set
 exactly.  The radius grows with every step; the loop ends when no point is
-outside or the radius stops growing in floating point.  A caller that knows
+outside or the radius stops growing in floating point (then the last pivot's
+center is kept if it covers every point more tightly).  A caller that knows
 a ball around each contiguous block of points (``tighten`` does, for its
 word tree) can let the pass skip the blocks that cannot hold the farthest
 point (the culling of Hart and DeFanti, SIGGRAPH 1991); the point found and
@@ -46,10 +47,6 @@ def radius_function(ifs: IfsSystem, z) -> float:
     return max(dist(p, z) for p in ifs.fixed_points)
 
 
-# a full pass over fewer points than this reads a contiguous copy of them,
-# which costs less than the strided rows of a view cost the passes; from
-# tighten's block-scan threshold on, the copy's page faults cost more
-_COPY_BELOW = 8192
 # up to this many points (and no blocks), the passes run in Python floats:
 # a NumPy call costs more than a short loop
 _FLOATS_UP_TO = 64
@@ -66,7 +63,7 @@ def _coordinates(points) -> tuple:
     points to solve on, scaled by ``2**-e``; and the binary exponent ``e``:
     0 for magnitudes within ``_IN_RANGE`` (or all zero), else that of the
     largest magnitude.  Array input is read through a view, never copied
-    (:func:`min_ball` copies the rows of small sets for its passes)."""
+    (:func:`min_ball` copies the rows for its passes unless given blocks)."""
     cols = _rows(points if isinstance(points, np.ndarray) else list(points)).T
     if cols.shape[1] == 0:
         raise ValueError("min_ball needs at least one point")
@@ -219,9 +216,9 @@ def min_ball(points, *, _blocks=None) -> tuple:
     ``(centers, radii)`` of balls around equal contiguous blocks of the
     points, only the blocks that can hold the farthest point; the result is
     the same either way.  The passes read up to 64 points as Python floats,
-    fewer than 8192 as a contiguous copy of the coordinates, and more (or
-    with blocks) through a view of array input; each path forms the same
-    correctly rounded operations, so the result is the same bit for bit.
+    more as one row per axis: a contiguous copy of the coordinates, or with
+    blocks a view of array input; each path forms the same correctly rounded
+    operations, so the result is the same bit for bit.
     """
     cols, work, e = _coordinates(points)
     d, count = cols.shape
@@ -240,7 +237,7 @@ def min_ball(points, *, _blocks=None) -> tuple:
             if e:
                 centers, radii = np.ldexp(centers, -e), np.ldexp(radii, -e)
             _blocks = np.hstack((firsts, centers)), radii
-        elif count < _COPY_BELOW:
+        else:  # strided rows of a view cost the passes more than a copy
             work = np.ascontiguousarray(work)
         d2, tmp = np.empty((2, count))  # reused: fresh large arrays page-fault
 
@@ -258,6 +255,11 @@ def min_ball(points, *, _blocks=None) -> tuple:
         ids = support + [k]
         center, reach, members = _pivot([point(i) for i in ids], d)
         if reach <= r2:
+            # no growth in floating point: the pivot's center may still
+            # cover every point more tightly than the last one
+            _, cover2 = farthest(center)
+            if cover2 < far2:
+                support, c, far2 = [ids[i] for i in members], center, cover2
             break
         support, c, r2 = [ids[i] for i in members], center, reach
     support.sort()

@@ -262,6 +262,9 @@ def min_ball_reference(points):
         ids = support + [k]
         center, reach, members = _pivot_reference([minball._point(work, i) for i in ids], d)
         if reach <= r2:
+            _, cover2 = minball._farthest(work, center, d2, tmp, None)
+            if cover2 < far2:
+                support, c, far2 = [ids[i] for i in members], center, cover2
             break
         support, c, r2 = [ids[i] for i in members], center, reach
     support.sort()

@@ -640,6 +640,60 @@ class TestBlockScan:
         assert self._check(ifs, base, 13)
 
 
+def _scaled(ifs, scale):
+    """The 3D system ``ifs`` with every fixed point times ``scale``."""
+    return IfsSystem(maps=tuple(Similitude3(p=m.p * scale, lam=m.lam, rot=m.rot) for m in ifs.maps))
+
+
+def _covers_scaled(ball, pts):
+    """Whether ``ball`` holds the 3D points ``pts``, measured at the
+    exponent of its radius, where no square overflows or underflows."""
+    e = math.frexp(ball.r)[1]
+    d = np.linalg.norm(np.ldexp(pts - ball.c, -e), axis=1)
+    return bool((d <= math.ldexp(ball.r, -e)).all())
+
+
+class TestRadiusOutOfRange:
+    """A ball whose radius lies outside min_ball's range is refined scaled
+    by a power of two: the radii are the unit-scale ones times the scale,
+    and the ball still holds the attractor."""
+
+    FAR = IfsSystem(
+        maps=(
+            Similitude3.from_axis_angle(p=(1.0, 0, 0), lam=0.4, axis=(0, 0, 1), angle=0.3),
+            Similitude3.from_axis_angle(p=(-1.0, 0, 0), lam=0.5, axis=(0, 0, 1), angle=0.0),
+        )
+    )
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e200])
+    def test_far_document(self, scale):
+        ifs = _scaled(self.FAR, scale)
+        base = best_bounding_ball(ifs).ball
+        assert base.r == pytest.approx(1.25814277202 * scale, rel=1e-9, abs=0)
+        pts = address_points(ifs, 8)
+        for levels, radius in ((2, 1.12476900133), (13, 1.00102741796)):
+            report = tighten(ifs, base, levels)
+            assert report.ball.r == pytest.approx(radius * scale, rel=1e-9, abs=0)
+            assert _covers_scaled(report.ball, pts)
+
+    def test_tiny_radius_far_from_the_origin(self):
+        # scaled by 2^996 the center would overflow: the scale stops short
+        ifs = IfsSystem(maps=tuple(Similitude3(p=(1e300, 0, 0), lam=m.lam, rot=m.rot) for m in self.FAR.maps))
+        report = tighten(ifs, Ball((1e300, 0, 0), 1e-300), 3)
+        assert np.array_equal(report.ball.c, [1e300, 0, 0]) and report.ball.r == 0.5**3 * 1e-300
+
+    def test_random_system_by_blocks(self):
+        # 3^9 words: the block scan; unscaled, its reach underflowed
+        rng = np.random.default_rng(150)
+        for _ in range(5):
+            unit = random_ifs_3d(rng, n=3, lam_range=(0.2, 0.7))
+            ifs = _scaled(unit, 1e-170)
+            report = tighten(ifs, best_bounding_ball(ifs).ball, 9)
+            expected = tighten(unit, best_bounding_ball(unit).ball, 9).ball.r * 1e-170
+            assert report.ball.r == pytest.approx(expected, rel=1e-9, abs=0)
+            assert _covers_scaled(report.ball, address_points(ifs, 6))
+
+
 class TestWordImages:
     """Depth-L word images come in map-major order: entry i is the word
     whose letters are the base-n digits of i, first letter most significant,

@@ -671,7 +671,31 @@ def test_3d_distances_beyond_square_range(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     record = json.loads(captured.out)
-    assert record["center"] == [0, 0, 0] and record["radius"] == 1.25814277202e200
+    if argv[0] == "tighten":  # refined at a scaled exponent, not kept
+        assert record["radius"] == 1.12476900133e200
+    else:
+        assert record["center"] == [0, 0, 0] and record["radius"] == 1.25814277202e200
+
+
+@pytest.mark.parametrize("exponent", [-200, -170, 200])
+@pytest.mark.parametrize(
+    "argv, digits",
+    [
+        (["bound"], "1.25814277202"),
+        (["tighten", "--levels", "2"], "1.12476900133"),
+        (["tighten", "--levels", "13"], "1.00102741796"),
+    ],
+    ids=["bound", "tighten2", "tighten13"],
+)
+def test_3d_radii_scale_with_the_document(exponent, argv, digits, tmp_path, capsys):
+    # the unit document's radii times 10^exponent, with no warning: at
+    # 1e-200 the squared distances underflow to 0, at 1e200 they overflow
+    path = tmp_path / "doc.json"
+    path.write_text(_far_document(3, float(f"1e{exponent}")))
+    code = main([*argv, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["radius"] == float(f"{digits}e{exponent}")
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 """The fast paths of refine give the bits of the plain NumPy forms.
 
 The word-tree fill, the covering-radius norms, the smallest ball of small
-point sets and the 3D distance each have a faster form (flat 3D row ops,
-column adds, Python floats, ``sqrt(v . v)``); the references in
-``conftest.py`` keep the plain forms, and every comparison here is ``==``.
+point sets and the 3D distance each have a faster form (3D images stored
+one buffer row per axis, column adds, Python floats, ``sqrt(v . v)``); the
+references in ``conftest.py`` keep the plain forms (C-ordered ``(N, 3)``
+rows in 3D), and every comparison here is ``==``.
 """
 
 import math
@@ -13,7 +14,7 @@ import pytest
 
 from ifsbound import IfsSystem, dist, min_ball
 from ifsbound import bounds
-from ifsbound.ifs import _FLAT_FROM, _rows_op, _word_tree_images
+from ifsbound.ifs import _word_tree_images
 from conftest import (
     dist_reference,
     min_ball_reference,
@@ -33,18 +34,29 @@ def _system(dim, n, seed):
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("starts", ["center", "fixed_points"])
 def test_word_tree_matches_broadcast_fill(dim, n, starts):
-    """Depths 0-8 pass counts below 64, at multiples of 64 (n = 2, 4 from
-    one start) and at other counts above it (n = 3, or n starts)."""
+    """Depths 0-8, 1 to 4^9 images: the axis-row fill (and its BLAS
+    matmul on F-ordered rows) gives the C-row reference's bits."""
     ifs = _system(dim, n, 100 * dim + n)
     pts = [bounds.best_bounding_ball(ifs).ball.c] if starts == "center" else list(ifs.fixed_points)
-    counts = set()
     for levels in range(9):
         images, factors = _word_tree_images(ifs, pts, levels, 10**6, rows=1)
         ref_images, ref_factors = word_tree_reference(ifs, pts, levels)
         assert np.array_equal(images, ref_images)
         assert np.array_equal(factors, ref_factors)
-        counts.add(len(images))
-    assert min(counts) < _FLAT_FROM < max(counts)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_3d_images_are_axis_rows(n):
+    """3D images and the kept levels' copies hold one row per axis, so
+    each "images op one point" runs along an axis row."""
+    ifs = _system(3, n, 17)
+    start = [ifs.maps[0].p]
+    images, _, *kept = _word_tree_images(ifs, start, 6, 10**6, rows=1, keep=(2, 4))
+    assert images.shape == (n**6, 3) and images.T.flags.c_contiguous
+    for level, (pts, lams) in zip((2, 4), kept):
+        assert pts.shape == (n**level, 3) and pts.T.flags.c_contiguous
+        ref_pts, ref_lams = word_tree_reference(ifs, start, level)
+        assert np.array_equal(pts, ref_pts) and np.array_equal(lams, ref_lams)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -60,14 +72,6 @@ def test_reach_matches_broadcast_norms(dim, count):
     assert np.array_equal(bounds._norms(pts.copy()), norms_reference(pts))
 
 
-@pytest.mark.parametrize("count", [63, 64, 65, 130])
-def test_rows_op_matches_broadcast(count):
-    rng = np.random.default_rng(7)
-    rows, v = rng.uniform(-1, 1, size=(count, 3)), rng.uniform(-1, 1, 3)
-    for op in (np.subtract, np.add):
-        assert np.array_equal(_rows_op(op, rows, v, np.empty_like(rows)), op(rows, v))
-
-
 def _same_as_reference(points):
     ball, support = min_ball(points)
     center, r, indices, coords = min_ball_reference(points)
@@ -80,8 +84,8 @@ def _same_as_reference(points):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 63, 64, 65, 8191, 8192])
 def test_min_ball_matches_numpy_pivot_loop(dim, count):
-    """Python floats up to 64 points, a contiguous copy up to 8191, the
-    view from 8192 on: the same ball and support as the NumPy loop."""
+    """Python floats up to 64 points, a contiguous copy from 65 on: the
+    same ball and support as the NumPy loop over the view."""
     rng = np.random.default_rng(1000 * dim + count)
     for scale in (1.0, 1e200, 1e-200):  # in range, and solved scaled
         rows = rng.uniform(-1.0, 1.0, size=(count, dim)) * scale
@@ -109,7 +113,10 @@ def test_dist_3d_in_range_matches_norm():
     for scale in (1.0, 1e-150, 1e150, 1e-300 * 2**80):
         for _ in range(500):
             a, b = rng.normal(size=3) * scale, rng.normal(size=3) * scale
-            assert dist(a, b) == dist_reference(a, b)
+            if scale < 1e-200:  # v . v underflows to 0, the norm with it
+                assert dist(a, b) == math.hypot(*(a - b).tolist()) > 0.0
+            else:
+                assert dist(a, b) == dist_reference(a, b)
 
 
 @pytest.mark.parametrize(
@@ -123,7 +130,7 @@ def test_dist_3d_in_range_matches_norm():
 )
 def test_dist_3d_out_of_square_range(a, b, expected):
     # the squared distance overflows or underflows; the distance does not
-    assert dist(np.array(a, float), np.array(b, float)) == pytest.approx(expected, rel=1e-15)
+    assert dist(np.array(a, float), np.array(b, float)) == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 def test_dist_3d_beyond_the_float_range_is_inf():
