@@ -219,7 +219,7 @@ def circumcircle_trifractal(ifs: IfsSystem) -> BoundReport:
     It exists only for non-collinear fixed points and, for strongly
     rotating factors, only when the underlying quadratic has a real root;
     both failures raise :class:`CircumcircleError` so callers can fall back
-    to the general bounding ball.
+    to the general bounding ball, as does a closed form that overflows.
     """
     _require_plane(ifs, 3, "circumcircle_trifractal")
     p1, p2, p3 = ifs.fixed_points
@@ -228,30 +228,33 @@ def circumcircle_trifractal(ifs: IfsSystem) -> BoundReport:
     big_c = 2.0 * _cross(p2 - p1, p2 - p3)
     if big_c == 0.0:
         raise CircumcircleError("collinear fixed points: no circumcircle")
-    big_a = (a3**2 - a2**2) * p1 + (a1**2 - a3**2) * p2 + (a2**2 - a1**2) * p3
-    big_b = (
-        (abs(p2) ** 2 - abs(p3) ** 2) * p1
-        + (abs(p3) ** 2 - abs(p1) ** 2) * p2
-        + (abs(p1) ** 2 - abs(p2) ** 2) * p3
-    )
-    c0 = big_b / (big_c * 1j)
-    r0 = abs(c0 - p1)
-    c1 = big_a / (big_c * 1j)
+    try:  # Python's float ** and complex abs raise OverflowError, not inf
+        big_a = (a3**2 - a2**2) * p1 + (a1**2 - a3**2) * p2 + (a2**2 - a1**2) * p3
+        big_b = (
+            (abs(p2) ** 2 - abs(p3) ** 2) * p1
+            + (abs(p3) ** 2 - abs(p1) ** 2) * p2
+            + (abs(p1) ** 2 - abs(p2) ** 2) * p3
+        )
+        c0 = big_b / (big_c * 1j)
+        r0 = abs(c0 - p1)
+        c1 = big_a / (big_c * 1j)
 
-    if c1 == 0.0:
-        c, r = c0, r0 / a1
-    else:
-        d = _dot(c0, c1) + (
-            a1**2 * _cross(p2, p3) + a2**2 * _cross(p3, p1) + a3**2 * _cross(p1, p2)
-        ) / big_c
-        disc = d * d - abs(c1) ** 2 * r0 * r0
-        if d >= 0.0 or disc < 0.0:
-            raise CircumcircleError(
-                "no real tangential circle for these rotation factors"
-            )
-        # smaller root of the radius quadratic, in cancellation-free form
-        r = r0 / math.sqrt(-d + math.sqrt(disc))
-        c = c0 + c1 * r * r
+        if c1 == 0.0:
+            c, r = c0, r0 / a1
+        else:
+            d = _dot(c0, c1) + (
+                a1**2 * _cross(p2, p3) + a2**2 * _cross(p3, p1) + a3**2 * _cross(p1, p2)
+            ) / big_c
+            disc = d * d - abs(c1) ** 2 * r0 * r0
+            if d >= 0.0 or disc < 0.0:
+                raise CircumcircleError(
+                    "no real tangential circle for these rotation factors"
+                )
+            # smaller root of the radius quadratic, in cancellation-free form
+            r = r0 / math.sqrt(-d + math.sqrt(disc))
+            c = c0 + c1 * r * r
+    except OverflowError:
+        raise CircumcircleError("the circumcircle overflows the float range") from None
     return _circle_report(ifs, c, r, "circum_tri")
 
 
@@ -325,8 +328,9 @@ def circumcircle(ifs: IfsSystem) -> BoundReport:
 
 
 def best_bounding_ball(ifs: IfsSystem) -> BoundReport:
-    """Smallest available bounding ball: circumcircle when it exists and
-    beats the general ball, otherwise the general ball at the best center.
+    """Smallest available bounding ball: circumcircle when it exists, passes
+    its containment check and beats the general ball, otherwise the general
+    ball at the best center.
 
     Circumcircles apply to 2- and 3-map plane systems; everything else gets
     the general construction directly.
@@ -339,9 +343,12 @@ def best_bounding_ball(ifs: IfsSystem) -> BoundReport:
     except CircumcircleError as exc:
         note = f"circumcircle unavailable: {exc}"
     else:
-        if circ.ball.r <= general.ball.r:
+        if not circ.min_slack >= -containment_tol(circ.ball.r):
+            note = f"circumcircle fails its containment check (min slack {circ.min_slack:.3e})"
+        elif circ.ball.r <= general.ball.r:
             return circ
-        note = "general ball tighter than circumcircle"
+        else:
+            note = "general ball tighter than circumcircle"
     return replace(general, notes=general.notes + (note,))
 
 
@@ -366,54 +373,61 @@ def _block_depth(n: int, levels: int) -> int:
     return m
 
 
-def _norms(diff: np.ndarray, out=None) -> np.ndarray:
+def _norms(diff: np.ndarray) -> np.ndarray:
     """Length of each point of ``diff``, which a 3D call overwrites."""
     # kept per layout: np.abs of a complex and a row norm round apart
     if diff.ndim == 1:
-        return np.abs(diff, out=out)
+        return np.abs(diff)
     # (x^2 + y^2) + z^2 by columns (axis rows of the word images), as
     # .sum(axis=1) adds a row's squares
     sq = np.square(diff, out=diff)
-    out = np.add(sq[:, 0], sq[:, 1], out=out)
+    out = np.add(sq[:, 0], sq[:, 1])
     return np.sqrt(np.add(out, sq[:, 2], out=out), out=out)
 
 
-def _reach(points, factors, c, r: float, out=None) -> np.ndarray:
+def _reach(points, factors, c, r: float) -> np.ndarray:
     """``|points - c| + factors * r``, computed over ``points`` and ``factors``."""
-    out = _norms(np.subtract(points, c, out=points), out)
+    out = _norms(np.subtract(points, c, out=points))
     out += np.multiply(factors, r, out=factors)
     return out
 
 
-def _tighten_by_blocks(ifs, b, slack, levels, centers, factors, inner, outer):
-    """``tighten``'s smallest ball and covering radius, scanning its word
-    images by blocks.  ``inner`` holds the depth-m images T_u(c) and their
-    factors, ``outer`` the depth-(L-m) images T_v(c) and factors lambda_v.
-    Block v holds the words T_v(T_u(c)), which lie within lambda_v * rho of
-    T_v(c), rho being the largest |T_u(c) - c|."""
-    (pts_u, lams_u), (pts_v, lams_v) = inner, outer
-    # The rounding allowance.  B(c, grow) maps into itself under every map
-    # (it makes every slack nonnegative), so it holds every exact word image
-    # and fixed point, and span = |c| + grow bounds their size.  One tree
-    # level rounds off at most ~8 ulps of span in 3D (a 3-term dot product,
-    # a scale and two adds; less in 2D).  A block's bound meets three such
-    # errors over L levels (in its words, in T_v(c) and in T_u(c)); the
-    # distances and comparisons add a few ulps of span, the factor products
-    # a few ulps of b.r.  The allowance covers all of them several times
-    # over; an inf or NaN bound only keeps its block.
+def _block_radii(ifs, b, slack, levels, m, factors) -> tuple:
+    """The factors ``lambda_v`` of the outer words of ``tighten``'s blocks of
+    n^m words, and the radius of a ball around each block, centered on its
+    first word.  Block v holds the words T_v(T_u(c)) for the n^m inner words
+    u; the inner letters of its first word are all map 1, so lambda_v is
+    that word's factor over ``lam_1**m``."""
+    # B(c, grow) maps into itself under every map (it makes every slack
+    # nonnegative), so it holds every exact T_u(c): a block lies within
+    # 2 * lambda_v * grow of its first word.  It holds every exact word
+    # image and fixed point too, so span = |c| + grow bounds their size.
+    # One tree level rounds off at most ~8 ulps of span in 3D (a 3-term dot
+    # product, a scale and two adds; less in 2D), and a word and its block's
+    # first word each meet L levels; the distances and comparisons add a
+    # few ulps of span, the factor products and their division by lam_1**m
+    # a few ulps of b.r and grow.  The allowance covers all of them several
+    # times over; an inf or NaN radius only keeps its block.
     grow = b.r - min(s / (1.0 - mm.lam) for s, mm in zip(slack, ifs.maps))
     span = float(np.abs(_coords(b.c)).sum()) + grow
     allowance = 64 * (levels + 1) * 2.0**-52 * (span + b.r)
-    spread = lams_v * float(_norms(pts_u - b.c).max()) + allowance
-    center_ball, _ = min_ball(centers, _blocks=(pts_v, spread))
+    lams_v = factors[:: ifs.n**m] / ifs.maps[0].lam ** m
+    return lams_v, 2.0 * grow * lams_v + allowance
+
+
+def _tighten_by_blocks(ifs, b, slack, levels, m, centers, factors):
+    """``tighten``'s smallest ball and covering radius, scanning its word
+    images by the blocks of :func:`_block_radii`."""
+    lams_v, radii = _block_radii(ifs, b, slack, levels, m, factors)
+    center_ball, _ = min_ball(centers, _blocks=radii)
     c = center_ball.c
-    # the covering radius likewise: at least the largest one of the blocks'
-    # first words, at most |T_v(c) - c'| + spread + lambda_v * lambda_u * r
+    # the covering radius likewise: at least the largest reach of a first
+    # word, at most |first_v - c'| + radius_v + lambda_v * lambda_star^m * r
     # in block v; only the blocks that can reach that far are computed
-    size = len(pts_u)
-    low = _reach(centers[::size].copy("F"), factors[::size].copy(), c, b.r).max()
-    dist_v = _norms(np.subtract(pts_v, c, out=pts_v))  # pts_v is not read again
-    top = dist_v + spread + lams_v * (float(lams_u.max()) * b.r)
+    size = ifs.n**m
+    dist_v = _norms(np.subtract(centers[::size], c))
+    low = (dist_v + factors[::size] * b.r).max()
+    top = dist_v + radii + lams_v * (ifs.lambda_star**m * b.r)
     near = (~(top < low)).nonzero()[0]
 
     def gather(a):  # the blocks in near, axis rows kept
@@ -441,12 +455,12 @@ def tighten(
     output radius never exceeds the input radius.
 
     From 8192 words on, the smallest-ball passes and the covering radius
-    read only the blocks of words that can reach the farthest point: block
-    ``v`` (its words share their first letters ``v``) lies within
-    ``lambda_v * rho_m`` of ``T_v(c)``, ``rho_m`` being the farthest of
-    the depth-m images ``T_u(c)`` from ``c``.  The result is the same, bit
-    for bit; the blocks that can reach are copied and scanned, the others
-    are skipped.
+    read only the first word of each block of n^m <= 64 words and the
+    blocks that can reach the farthest point: block ``v`` (its words share
+    their first letters ``v``) lies within ``2 * lambda_v * grow`` of its
+    first word, ``B(c, grow)`` being the smallest ball around ``c`` that
+    every map sends into itself.  The result is the same, bit for bit; the
+    blocks that can reach are copied and scanned, the others are skipped.
 
     The input must carry a nonnegative containment certificate; the output
     bounds the attractor by construction but is generally not certified by
@@ -461,10 +475,7 @@ def tighten(
             "input ball is not a verified bounding ball "
             f"(min slack {min(slack):.3e})"
         )
-    m = _block_depth(ifs.n, levels)
-    centers, factors, reach, *kept = _word_tree_images(
-        ifs, [b.c], levels, budget, rows=2, keep=(m, levels - m) if m else ()
-    )
+    centers, factors = _word_tree_images(ifs, [b.c], levels, budget, rows=1)
     # a radius outside min_ball's range is refined scaled by 2^-e, which is
     # exact, so no squared 3D distance overflows or underflows; scaled up,
     # no coordinate passes 2^1023
@@ -473,15 +484,15 @@ def tighten(
         c = _coords(b.c).tolist()
         e = max(math.frexp(b.r)[1], math.frexp(max(map(abs, c)))[1] - 1023)
         work = _ball(c, b.r, -e, ifs.dim)
-        for pts in (centers, *(pts for pts, _ in kept)):
-            np.ldexp(_rows(pts), -e, out=_rows(pts))
+        np.ldexp(_rows(centers), -e, out=_rows(centers))
         slack = [math.ldexp(s, -e) for s in slack]
-    if kept:
-        center_ball, radius = _tighten_by_blocks(ifs, work, slack, levels, centers, factors, *kept)
+    m = _block_depth(ifs.n, levels)
+    if m:
+        center_ball, radius = _tighten_by_blocks(ifs, work, slack, levels, m, centers, factors)
     else:
         center_ball, _ = min_ball(centers)
         # min_ball is done with the images and factors: overwritten in place
-        radius = float(np.max(_reach(centers, factors, center_ball.c, work.r, reach)))
+        radius = float(np.max(_reach(centers, factors, center_ball.c, work.r)))
     if e:
         center_ball = _ball(_coords(center_ball.c).tolist(), center_ball.r, e, ifs.dim)
         radius = math.ldexp(radius, e)

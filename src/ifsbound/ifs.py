@@ -438,19 +438,16 @@ def apply_word(ifs: IfsSystem, word: Iterable[int], z: Point):
     return z, factor
 
 
-def _word_tree_images(
-    ifs: IfsSystem, starts, levels: int, budget: int, rows: int = 0, keep: tuple = ()
-):
+def _word_tree_images(ifs: IfsSystem, starts, levels: int, budget: int, rows: int = 0):
     """Images of the points ``starts`` under all depth-``levels``
     compositions, map-major: block ``k`` of a level is map ``k+1`` applied
     to the level before.  Levels are written in place, last map first, so the
-    source (block 0) goes last.  Returns the images, then ``rows`` free rows
-    of their length, all views of one float buffer; the first free row holds
-    each composition's contraction factor.  Plane images are complex; space
+    source (block 0) goes last; only the last level is kept.  Returns the
+    images, then ``rows`` free rows of their length, all views of one float
+    buffer of ``(d + rows) * N`` floats; the first free row holds each
+    composition's contraction factor.  Plane images are complex; space
     images are ``(N, 3)`` with one buffer row per axis (F-ordered), so every
-    "images op one point" runs along an axis row.  Then, for each level in
-    ``keep`` (1 to ``levels``; needs ``rows``), a copy of its images (axis
-    rows kept) and of their factors, taken as the walk passes it."""
+    "images op one point" runs along an axis row."""
     n, d = ifs.n, ifs.dim
     count = len(starts)
     size = count * n**levels
@@ -467,8 +464,7 @@ def _word_tree_images(
     # kept per layout: a complex multiply is not a 2x2 matmul bit for bit,
     # and real (N, 2) rows measured 10x slower (ROADMAP "decided against")
     diff = np.empty((3, size // n)).T if d == 3 else None
-    kept = {}
-    for level in range(1, levels + 1):
+    for _ in range(levels):
         src = out[:count]
         for k in range(n - 1, -1, -1):
             m, dst = ifs.maps[k], out[k * count : (k + 1) * count]
@@ -481,9 +477,7 @@ def _word_tree_images(
             if factors is not None:
                 np.multiply(factors[:count], m.lam, out=factors[k * count : (k + 1) * count])
         count *= n
-        if level in keep:
-            kept[level] = out[:count].copy("F"), factors[:count].copy()
-    return (out, *buf[d:], *(kept[level] for level in keep))
+    return (out, *buf[d:])
 
 
 def address_points(

@@ -7,12 +7,12 @@ center, found by one vectorised distance pass, then solves that small set
 exactly.  The radius grows with every step; the loop ends when no point is
 outside or the radius stops growing in floating point (then the last pivot's
 center is kept if it covers every point more tightly).  A caller that knows
-a ball around each contiguous block of points (``tighten`` does, for its
-word tree) can let the pass skip the blocks that cannot hold the farthest
-point (the culling of Hart and DeFanti, SIGGRAPH 1991); the point found and
-its distance are the same floats.  Point sets of magnitude beyond 2^500 or
-below 2^-400 are solved scaled by a power of two, so no square overflows or
-underflows.
+a ball around each contiguous block of points, centered on its first point
+(``tighten`` does, for its word tree), can let the pass skip the blocks that
+cannot hold the farthest point (the culling of Hart and DeFanti, SIGGRAPH
+1991); the point found and its distance are the same floats.  Point sets of
+magnitude beyond 2^500 or below 2^-400 are solved scaled by a power of two,
+so no square overflows or underflows.
 
 Also hosts the radius function of an IFS: the distance from a query point
 to its farthest fixed point, the smallest covering radius centered there.
@@ -164,25 +164,23 @@ def _dist2(cols: np.ndarray, c, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _farthest(cols: np.ndarray, c, d2: np.ndarray, tmp: np.ndarray, blocks):
+def _farthest(cols: np.ndarray, c, d2: np.ndarray, tmp: np.ndarray, radii):
     """Index and squared distance of the point farthest from ``c``, the
-    first on ties.  ``blocks``, if given, is ``(probes, radii)`` for equal
-    contiguous blocks of points: ``probes`` holds the first point of each
-    block, then the center of a ball around each block.  The farthest
-    squared distance is at least the largest one of the first points; only
-    the blocks whose ball reaches that far are gathered (in index order) and
-    scanned, so the result is the one of a full scan."""
+    first on ties.  ``radii``, if given, splits the points into equal
+    contiguous blocks, each within its radius of its first point.  The
+    farthest squared distance is at least the largest one of the first
+    points; only the blocks whose ball reaches that far are gathered (in
+    index order) and scanned, so the result is the one of a full scan."""
     # ndarray methods: np.max and friends cost microseconds of dispatch
-    if blocks is None:
+    if radii is None:
         k = int(_dist2(cols, c, d2, tmp).argmax())
         return k, d2[k]
-    probes, radii = blocks
     nb = len(radii)
-    near2 = _dist2(probes, c, d2[: 2 * nb], tmp[: 2 * nb])
-    top = np.add(np.sqrt(near2[nb:], out=tmp[:nb]), radii, out=tmp[:nb])
-    low = near2[:nb].max()
-    near = (~(np.square(top, out=top) < low)).nonzero()[0]  # NaN keeps its block
     size = cols.shape[1] // nb
+    near2 = _dist2(cols[:, ::size], c, d2[:nb], tmp[:nb])
+    top = np.add(np.sqrt(near2, out=tmp[:nb]), radii, out=tmp[:nb])
+    low = near2.max()
+    near = (~(np.square(top, out=top) < low)).nonzero()[0]  # NaN keeps its block
     rows = cols.reshape(len(cols), nb, size)[:, near].reshape(len(cols), -1)
     j = int(_dist2(rows, c, d2[: rows.shape[1]], tmp[: rows.shape[1]]).argmax())
     return int(near[j // size]) * size + j % size, d2[j]
@@ -212,10 +210,11 @@ def min_ball(points, *, _blocks=None) -> tuple:
     on ties): nothing is random, so repeated calls are bit-for-bit identical.
     Support indices come sorted.  The radius is the largest distance from
     the center to any input point, so every point is covered.  Each pivot
-    step reads every point once, or, with the private ``_blocks`` =
-    ``(centers, radii)`` of balls around equal contiguous blocks of the
-    points, only the blocks that can hold the farthest point; the result is
-    the same either way.  The passes read up to 64 points as Python floats,
+    step reads every point once, or, with the private ``_blocks``, an array
+    of radii that splits the points into equal contiguous blocks, each
+    within its radius of its first point, only the first points and the
+    blocks that can hold the farthest point; the result is the same either
+    way.  The passes read up to 64 points as Python floats,
     more as one row per axis: a contiguous copy of the coordinates, or with
     blocks a view of array input; each path forms the same correctly rounded
     operations, so the result is the same bit for bit.
@@ -230,15 +229,10 @@ def min_ball(points, *, _blocks=None) -> tuple:
 
         point = pts.__getitem__
     else:
-        if _blocks is not None:
-            centers, radii = _blocks
-            firsts = work[:, :: count // len(radii)]
-            centers = _rows(centers).T
-            if e:
-                centers, radii = np.ldexp(centers, -e), np.ldexp(radii, -e)
-            _blocks = np.hstack((firsts, centers)), radii
-        else:  # strided rows of a view cost the passes more than a copy
+        if _blocks is None:  # strided rows of a view cost the passes more than a copy
             work = np.ascontiguousarray(work)
+        elif e:
+            _blocks = np.ldexp(_blocks, -e)
         d2, tmp = np.empty((2, count))  # reused: fresh large arrays page-fault
 
         def farthest(c):

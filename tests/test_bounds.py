@@ -431,6 +431,21 @@ class TestBestBoundingBall:
         assert report.notes == ("circumcircle unavailable: the circumcircle overflows the float range",)
 
 
+    def test_circumcircle_failing_its_check_falls_back(self):
+        # fixed points near 1e6: the closed form rounds to a circle whose
+        # own slack is -4.3e-3, far below the tolerance
+        ps = (0.8013 + 0.5822j, 0.4791 + 0.1597j, 0.3912 + 0.5167j)
+        phis = (-0.01324 - 0.15941j, 0.15146 - 0.06767j, -0.46409 - 0.40232j)
+        ifs = IfsSystem(maps=tuple(Similitude2(p=1e6 * (1 - 1j) + p, phi=f) for p, f in zip(ps, phis)))
+        circ = circumcircle(ifs)
+        assert circ.min_slack < -containment_tol(circ.ball.r)
+        report = best_bounding_ball(ifs)
+        assert report.method == "general"
+        assert report.min_slack >= -containment_tol(report.ball.r)
+        assert report.notes == (f"circumcircle fails its containment check (min slack {circ.min_slack:.3e})",)
+        assert tighten(ifs, report.ball, 3).ball.r <= report.ball.r
+
+
 class TestCircumcircleDispatch:
     def test_picks_construction_by_map_count(self):
         assert circumcircle(cantor_ifs()).method == "circum_bi"
@@ -641,7 +656,9 @@ class TestBlockScan:
 
 
 def _scaled(ifs, scale):
-    """The 3D system ``ifs`` with every fixed point times ``scale``."""
+    """The system ``ifs`` with every fixed point times ``scale``."""
+    if ifs.dim == 2:
+        return IfsSystem(maps=tuple(Similitude2(p=m.p * scale, phi=m.phi) for m in ifs.maps))
     return IfsSystem(maps=tuple(Similitude3(p=m.p * scale, lam=m.lam, rot=m.rot) for m in ifs.maps))
 
 
@@ -692,6 +709,43 @@ class TestRadiusOutOfRange:
             expected = tighten(unit, best_bounding_ball(unit).ball, 9).ball.r * 1e-170
             assert report.ball.r == pytest.approx(expected, rel=1e-9, abs=0)
             assert _covers_scaled(report.ball, address_points(ifs, 6))
+
+
+class TestBlockRadii:
+    """At the first depth ``tighten`` scans by blocks, every word image lies
+    within its block's radius of the block's first word."""
+
+    KINDS = ["generic", "touching", "translated", "tiny", "huge"]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_blocks_lie_within_their_radii(self, kind, dim):
+        rng = np.random.default_rng(160 + 10 * dim + self.KINDS.index(kind))
+        for i in range(6):
+            n = 2 + i % 3
+            if kind == "touching":
+                ifs = touching_ifs(rng, n, dim=dim)
+            else:
+                ifs = (random_ifs_2d if dim == 2 else random_ifs_3d)(rng, n=n, lam_range=(0.2, 0.7))
+            if kind == "translated":
+                ifs = translated(ifs, 1e6 * (1 + 1j) if dim == 2 else np.array([1e6, -1e6, 1e6]))
+            elif kind in ("tiny", "huge"):
+                ifs = _scaled(ifs, 1e-200 if kind == "tiny" else 1e155)
+            base = (general_bounding_ball if kind in ("tiny", "huge") else best_bounding_ball)(ifs).ball
+            levels = TestBlockScan._sizes(n)[1]
+            m = bounds._block_depth(n, levels)
+            images, factors = _word_tree_images(ifs, [base.c], levels, 10**6, rows=1)
+            slack = verify_containment(ifs, base)
+            _, radii = bounds._block_radii(ifs, base, slack, levels, m, factors)
+            # hypot: no square leaves the float range at 1e-200 or 1e155
+            if dim == 2:
+                blocks = images.reshape(len(radii), -1)
+                dist = np.abs(blocks - blocks[:, :1])
+            else:
+                blocks = images.reshape(len(radii), -1, 3)
+                x, y, z = np.moveaxis(blocks - blocks[:, :1], -1, 0)
+                dist = np.hypot(np.hypot(x, y), z)
+            assert m and (dist <= radii[:, None]).all()
 
 
 class TestWordImages:

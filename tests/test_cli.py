@@ -746,6 +746,33 @@ def test_circumcircle_overflow_names_its_cause(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "overflow" in lines[0]
 
 
+@pytest.mark.parametrize("method, code", [("auto", 0), ("circum", 1), ("general", 0)])
+def test_trifractal_overflow_falls_back(method, code, tmp_path, capsys):
+    # abs(p) ** 2 of fixed points near 2^700 raises OverflowError in Python
+    # floats: the circumcircle is unavailable, so bound takes the general ball
+    ps = ((-5.261604122584017e-152, 1.4766427625592287e-152),
+          (-2.675760607411687e-151, -1.3593468038007286e-151),
+          (2.0747585716942888e-153, 7.920038967133988e-152))
+    phis = ((0.19805059465607325, -0.28948047737751437),
+            (-0.36638456420116855, -0.45871380609891726),
+            (-0.07252019919399065, -0.5402993520140258))
+    maps = [{"p": [math.ldexp(x, 1200) for x in p], "phi": list(f)} for p, f in zip(ps, phis)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dimension": 2, "maps": maps}))
+    code_out = main(["bound", "--method", method, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code_out == code
+    if method == "circum":
+        assert captured.out == ""
+        assert captured.err == "error: the circumcircle overflows the float range\n"
+        return
+    assert captured.err == ""
+    record = json.loads(captured.out)
+    assert record["method"] == "general" and record["radius"] == 1.03661887978e211
+    notes = ["circumcircle unavailable: the circumcircle overflows the float range"]
+    assert record["notes"] == (notes if method == "auto" else [])
+
+
 def _bound_general(tmp_path, points, center):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"dimension": 2, "maps": [{"p": p, "phi": [0.5, 0]} for p in points]}))
