@@ -15,8 +15,9 @@ The decks are built by each checkout's own workloads, and a cli deck calls
 the library under test to pick its ``verify`` arguments, so two commits can
 build different decks from one seed: a differing deck fingerprint is
 reported as deck drift.  Prints each deck's fingerprint, every differing
-op and the ``src/ifsbound`` line totals of both checkouts (source lines are
-tracked next to timings); exits 1 on any difference, 0 when there is none.
+op and the ``src/ifsbound`` line counts of both checkouts, per module and in
+total (source lines are tracked next to timings); exits 1 on any difference,
+0 when there is none.
 """
 
 import argparse
@@ -77,9 +78,9 @@ def collect(checkout: Path, seeds, names) -> dict:
     return decks
 
 
-def source_lines(checkout: Path) -> int:
-    """Lines of ``src/ifsbound/*.py`` in ``checkout``, as ``wc -l`` counts them."""
-    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "ifsbound").glob("*.py"))
+def source_lines(checkout: Path) -> dict:
+    """Lines of each ``src/ifsbound/*.py`` in ``checkout``, as ``wc -l`` counts them."""
+    return {p.name: p.read_bytes().count(b"\n") for p in (checkout / "src" / "ifsbound").glob("*.py")}
 
 
 def run_checkout(checkout: Path, seeds, names) -> dict:
@@ -135,7 +136,10 @@ def main(argv=None) -> int:
     this = run_checkout(HERE, seeds, names)
     other = run_checkout(args.other.resolve(), seeds, names)
     differences = compare(this, other)
-    print(f"src/ifsbound: {source_lines(HERE)} lines here, {source_lines(args.other.resolve())} there")
+    here, there = source_lines(HERE), source_lines(args.other.resolve())
+    for name in sorted(here.keys() | there.keys()):
+        print(f"  {name}: {here.get(name, 0)} lines here, {there.get(name, 0)} there")
+    print(f"src/ifsbound: {sum(here.values())} lines here, {sum(there.values())} there")
     ops = sum(len(deck["ops"]) for deck in this.values())
     print(f"{len(this)} decks, {ops} ops here: {differences} differences")
     return 1 if differences else 0

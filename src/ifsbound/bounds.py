@@ -37,7 +37,7 @@ from .ifs import (
     _rows,
     _word_tree_images,
 )
-from .minball import _IN_RANGE, _ball, min_ball, radius_function
+from .minball import _ball, _exponent, min_ball, radius_function
 
 CONTAINMENT_RTOL = 1e-9
 
@@ -104,6 +104,13 @@ def verify_containment(ifs: IfsSystem, b: Ball) -> tuple:
 
 def _slack(ifs: IfsSystem, b: Ball) -> tuple:
     return tuple((1.0 - m.lam) * b.r - m.mu * dist(b.c, m.p) for m in ifs.maps)
+
+
+def _certified(ifs: IfsSystem, b: Ball) -> tuple:
+    """Per-map slack of ``b`` and the library's one containment verdict:
+    every slack at least ``-containment_tol(b.r)``."""
+    slack = verify_containment(ifs, b)
+    return slack, min(slack) >= -containment_tol(b.r)
 
 
 def _report(ifs, ball, method, notes=()) -> BoundReport:
@@ -195,11 +202,15 @@ def _require_plane(ifs: IfsSystem, n: int, name: str) -> None:
         raise ValueError(f"{name} needs a 2D system with exactly {n} maps")
 
 
-def _circle_report(ifs: IfsSystem, c: complex, r: float, method: str) -> BoundReport:
-    """The report of a circumcircle; one that overflows the float range is
-    not available."""
-    if not (math.isfinite(r) and cmath.isfinite(c)):
-        raise CircumcircleError("the circumcircle overflows the float range")
+def _circle_report(ifs: IfsSystem, method: str, solve) -> BoundReport:
+    """The report of the circumcircle ``(c, r) = solve()``, a closed form;
+    one that overflows the float range is not available."""
+    try:  # Python's float ** and complex abs raise OverflowError, not inf
+        c, r = solve()
+        if not (math.isfinite(r) and cmath.isfinite(c)):
+            raise OverflowError
+    except OverflowError:
+        raise CircumcircleError("the circumcircle overflows the float range") from None
     return _report(ifs, Ball(c, r), method)
 
 
@@ -228,7 +239,8 @@ def circumcircle_trifractal(ifs: IfsSystem) -> BoundReport:
     big_c = 2.0 * _cross(p2 - p1, p2 - p3)
     if big_c == 0.0:
         raise CircumcircleError("collinear fixed points: no circumcircle")
-    try:  # Python's float ** and complex abs raise OverflowError, not inf
+
+    def solve():
         big_a = (a3**2 - a2**2) * p1 + (a1**2 - a3**2) * p2 + (a2**2 - a1**2) * p3
         big_b = (
             (abs(p2) ** 2 - abs(p3) ** 2) * p1
@@ -238,24 +250,19 @@ def circumcircle_trifractal(ifs: IfsSystem) -> BoundReport:
         c0 = big_b / (big_c * 1j)
         r0 = abs(c0 - p1)
         c1 = big_a / (big_c * 1j)
-
         if c1 == 0.0:
-            c, r = c0, r0 / a1
-        else:
-            d = _dot(c0, c1) + (
-                a1**2 * _cross(p2, p3) + a2**2 * _cross(p3, p1) + a3**2 * _cross(p1, p2)
-            ) / big_c
-            disc = d * d - abs(c1) ** 2 * r0 * r0
-            if d >= 0.0 or disc < 0.0:
-                raise CircumcircleError(
-                    "no real tangential circle for these rotation factors"
-                )
-            # smaller root of the radius quadratic, in cancellation-free form
-            r = r0 / math.sqrt(-d + math.sqrt(disc))
-            c = c0 + c1 * r * r
-    except OverflowError:
-        raise CircumcircleError("the circumcircle overflows the float range") from None
-    return _circle_report(ifs, c, r, "circum_tri")
+            return c0, r0 / a1
+        d = _dot(c0, c1) + (
+            a1**2 * _cross(p2, p3) + a2**2 * _cross(p3, p1) + a3**2 * _cross(p1, p2)
+        ) / big_c
+        disc = d * d - abs(c1) ** 2 * r0 * r0
+        if d >= 0.0 or disc < 0.0:
+            raise CircumcircleError("no real tangential circle for these rotation factors")
+        # smaller root of the radius quadratic, in cancellation-free form
+        r = r0 / math.sqrt(-d + math.sqrt(disc))
+        return c0 + c1 * r * r, r
+
+    return _circle_report(ifs, "circum_tri", solve)
 
 
 def apply_M(ifs: IfsSystem, b: Ball) -> Ball:
@@ -292,7 +299,8 @@ def circumcircle_bifractal(ifs: IfsSystem) -> BoundReport:
     This is the unique fixed circle of :func:`apply_M`, the two-map
     analogue of the interval of a Cantor set.  Coincident fixed points
     degenerate to a radius-zero ball (the attractor is that single point),
-    reported with a note.
+    reported with a note; a closed form that overflows raises
+    :class:`CircumcircleError`.
     """
     _require_plane(ifs, 2, "circumcircle_bifractal")
     m1, m2 = ifs.maps
@@ -312,9 +320,12 @@ def circumcircle_bifractal(ifs: IfsSystem) -> BoundReport:
     # den has positive real part for strict contractions; guard anyway
     if den == 0.0:
         raise CircumcircleError("degenerate factor combination: zero denominator")
-    c = (w1 * p1 + w2 * p2) / den
-    r = m1.mu * m2.mu / ((1.0 - lam) * abs(den)) * abs(p2 - p1)
-    return _circle_report(ifs, c, r, "circum_bi")
+
+    def solve():
+        c = (w1 * p1 + w2 * p2) / den
+        return c, m1.mu * m2.mu / ((1.0 - lam) * abs(den)) * abs(p2 - p1)
+
+    return _circle_report(ifs, "circum_bi", solve)
 
 
 def circumcircle(ifs: IfsSystem) -> BoundReport:
@@ -343,7 +354,7 @@ def best_bounding_ball(ifs: IfsSystem) -> BoundReport:
     except CircumcircleError as exc:
         note = f"circumcircle unavailable: {exc}"
     else:
-        if not circ.min_slack >= -containment_tol(circ.ball.r):
+        if not _certified(ifs, circ.ball)[1]:
             note = f"circumcircle fails its containment check (min slack {circ.min_slack:.3e})"
         elif circ.ball.r <= general.ball.r:
             return circ
@@ -469,20 +480,15 @@ def tighten(
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    slack = verify_containment(ifs, b)
-    if min(slack) < -containment_tol(b.r):
-        raise ValueError(
-            "input ball is not a verified bounding ball "
-            f"(min slack {min(slack):.3e})"
-        )
-    centers, factors = _word_tree_images(ifs, [b.c], levels, budget, rows=1)
+    slack, verified = _certified(ifs, b)
+    if not verified:
+        raise ValueError(f"input ball is not a verified bounding ball (min slack {min(slack):.3e})")
+    centers, factors = _word_tree_images(ifs, [b.c], levels, budget, factors=True)
     # a radius outside min_ball's range is refined scaled by 2^-e, which is
-    # exact, so no squared 3D distance overflows or underflows; scaled up,
-    # no coordinate passes 2^1023
-    e, work = 0, b
-    if b.r != 0.0 and not _IN_RANGE[0] <= b.r <= _IN_RANGE[1]:
-        c = _coords(b.c).tolist()
-        e = max(math.frexp(b.r)[1], math.frexp(max(map(abs, c)))[1] - 1023)
+    # exact, so no squared 3D distance overflows or underflows
+    c = _coords(b.c).tolist()
+    e, work = _exponent(b.r, max(map(abs, c))), b
+    if e:
         work = _ball(c, b.r, -e, ifs.dim)
         np.ldexp(_rows(centers), -e, out=_rows(centers))
         slack = [math.ldexp(s, -e) for s in slack]

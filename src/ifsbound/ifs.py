@@ -438,16 +438,15 @@ def apply_word(ifs: IfsSystem, word: Iterable[int], z: Point):
     return z, factor
 
 
-def _word_tree_images(ifs: IfsSystem, starts, levels: int, budget: int, rows: int = 0):
+def _word_tree_images(ifs: IfsSystem, starts, levels: int, budget: int, factors: bool = False):
     """Images of the points ``starts`` under all depth-``levels``
     compositions, map-major: block ``k`` of a level is map ``k+1`` applied
     to the level before.  Levels are written in place, last map first, so the
     source (block 0) goes last; only the last level is kept.  Returns the
-    images, then ``rows`` free rows of their length, all views of one float
-    buffer of ``(d + rows) * N`` floats; the first free row holds each
-    composition's contraction factor.  Plane images are complex; space
-    images are ``(N, 3)`` with one buffer row per axis (F-ordered), so every
-    "images op one point" runs along an axis row."""
+    images and, with ``factors``, each composition's contraction factor,
+    views of one float buffer of ``(d + factors) * N`` floats.  Plane images
+    are complex; space images are ``(N, 3)`` with one buffer row per axis
+    (F-ordered), so every "images op one point" runs along an axis row."""
     n, d = ifs.n, ifs.dim
     count = len(starts)
     size = count * n**levels
@@ -456,11 +455,11 @@ def _word_tree_images(ifs: IfsSystem, starts, levels: int, budget: int, rows: in
             f"enumeration would produce {size} leaves, budget is {budget}; "
             "lower the depth or raise the budget"
         )
-    buf = np.empty((d + rows, size))
+    buf = np.empty((d + factors, size))
     out = buf[:3].T if d == 3 else _points(buf[:2].reshape(size, 2))
     out[:count] = starts
-    buf[d : d + 1, :count] = 1.0  # the factors, if there are free rows
-    factors = buf[d] if rows else None
+    buf[d:, :count] = 1.0  # the factors, if asked for
+    lams = buf[d] if factors else None
     # kept per layout: a complex multiply is not a 2x2 matmul bit for bit,
     # and real (N, 2) rows measured 10x slower (ROADMAP "decided against")
     diff = np.empty((3, size // n)).T if d == 3 else None
@@ -474,8 +473,8 @@ def _word_tree_images(ifs: IfsSystem, starts, levels: int, budget: int, rows: in
                 np.subtract(src, m.p, out=diff[:count])
                 np.multiply(np.matmul(diff[:count], m.rot.T, out=dst), m.lam, out=dst)
             np.add(dst, m.p, out=dst)
-            if factors is not None:
-                np.multiply(factors[:count], m.lam, out=factors[k * count : (k + 1) * count])
+            if factors:
+                np.multiply(lams[:count], m.lam, out=lams[k * count : (k + 1) * count])
         count *= n
     return (out, *buf[d:])
 

@@ -58,12 +58,22 @@ _FLOATS_UP_TO = 64
 _IN_RANGE = (2.0**-400, 2.0**500)
 
 
+def _exponent(spread: float, size: float) -> int:
+    """The binary exponent ``e`` at which points of extent ``spread`` and
+    largest magnitude ``size`` are solved, scaled by ``2**-e``: 0 when the
+    spread is 0 or within ``_IN_RANGE``, else that of the spread, raised
+    where needed so that no scaled magnitude passes 2^1023."""
+    if spread == 0.0 or _IN_RANGE[0] <= spread <= _IN_RANGE[1]:
+        return 0
+    return max(math.frexp(spread)[1], math.frexp(size)[1] - 1023)
+
+
 def _coordinates(points) -> tuple:
     """Points as a ``(d, N)`` float array, one row per axis; the same
-    points to solve on, scaled by ``2**-e``; and the binary exponent ``e``:
-    0 for magnitudes within ``_IN_RANGE`` (or all zero), else that of the
-    largest magnitude.  Array input is read through a view, never copied
-    (:func:`min_ball` copies the rows for its passes unless given blocks)."""
+    points to solve on, scaled by ``2**-e``; and the binary exponent ``e``
+    of :func:`_exponent`, the largest magnitude taken as the spread.  Array
+    input is read through a view, never copied (:func:`min_ball` copies the
+    rows for its passes unless given blocks)."""
     cols = _rows(points if isinstance(points, np.ndarray) else list(points)).T
     if cols.shape[1] == 0:
         raise ValueError("min_ball needs at least one point")
@@ -73,10 +83,8 @@ def _coordinates(points) -> tuple:
     if not (hi < math.inf and lo > -math.inf):  # NaN fails both
         raise ValueError("non-finite coordinate")
     m = max(hi, -lo)
-    if _IN_RANGE[0] <= m <= _IN_RANGE[1] or m == 0.0:
-        return cols, cols, 0
-    e = math.frexp(m)[1]
-    return cols, np.ldexp(cols, -e), e
+    e = _exponent(m, m)
+    return cols, np.ldexp(cols, -e) if e else cols, e
 
 
 def _ball(c, r: float, e: int, d: int) -> Ball:
@@ -137,20 +145,12 @@ def _pivot(q, d: int):
     """Smallest ball of ``q`` with the last point on its boundary: center,
     squared radius and support indices.  Each candidate is scored by its
     covering radius of all of ``q``, so no degenerate subset can undercut
-    the true ball; ties go to the first subset.  Scoring stops once a
-    candidate reaches the best score, as it can then no longer win."""
+    the true ball; ties go to the first subset."""
     best = None
-    for sub, (cx, cy, cz), _ in _centers(q, d):
-        reach = 0.0
-        for x, y, z in reversed(q):  # q[-1] first: the candidate's own radius
-            dx, dy, dz = x - cx, y - cy, z - cz
-            s = dx * dx + dy * dy + dz * dz
-            if s > reach:  # as max(reach, s), without the call
-                reach = s
-            if best is not None and reach >= best[1]:
-                break
-        else:
-            best = (cx, cy, cz), reach, sorted(sub)
+    for sub, c, _ in _centers(q, d):
+        reach = _farthest_floats(q, c)[1]
+        if best is None or reach < best[1]:
+            best = c, reach, sorted(sub)
     return best
 
 

@@ -177,7 +177,7 @@ def tighten_full_scan(ifs, b, levels):
     input (a list, which min_ball copies into coordinate rows and scans in
     full) and the reach.  Returns (ball, notes)."""
     assert min(verify_containment(ifs, b)) >= -containment_tol(b.r)
-    centers, factors = _word_tree_images(ifs, [b.c], levels, 10**6, rows=1)
+    centers, factors = _word_tree_images(ifs, [b.c], levels, 10**6, factors=True)
     center_ball, _ = min_ball(list(centers))
     c_prime = center_ball.c
     diff = centers - c_prime

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ifsbound import (
     Ball,
@@ -29,7 +30,7 @@ from ifsbound import (
     verify_containment,
 )
 from ifsbound import bounds
-from ifsbound.ifs import _word_tree_images
+from ifsbound.ifs import _coords, _point_of, _word_tree_images
 from conftest import (
     cantor_ifs,
     mixed_bifractal,
@@ -375,6 +376,13 @@ class TestCircumcircleBifractal:
         with pytest.raises(ValueError):
             circumcircle_bifractal(sierpinski_ifs())
 
+    def test_overflow_is_unavailable(self):
+        # |p2 - p1| = 2.1e308: Python's complex abs raises OverflowError
+        far = 0.75e308 * (1 + 1j)
+        ifs = IfsSystem(maps=(Similitude2(p=-far, phi=0.5), Similitude2(p=far, phi=0.5)))
+        with pytest.raises(CircumcircleError, match="the circumcircle overflows the float range"):
+            circumcircle_bifractal(ifs)
+
 
 @pytest.mark.parametrize(
     "construct",
@@ -711,6 +719,52 @@ class TestRadiusOutOfRange:
             assert _covers_scaled(report.ball, address_points(ifs, 6))
 
 
+# fixed-point coordinates on a 2^-10 grid in [-1, 1]: times 2^k for any k in
+# [-1000, 1000] they stay exact, normal floats
+_GRID = st.integers(-(2**10), 2**10).map(lambda i: math.ldexp(i, -10))
+
+
+@st.composite
+def _unit_systems(draw, dim):
+    maps = []
+    for _ in range(draw(st.integers(2, 5))):
+        p = [draw(_GRID) for _ in range(dim)]
+        lam, angle = draw(st.floats(0.2, 0.7)), draw(st.floats(-math.pi, math.pi))
+        if dim == 2:
+            maps.append(Similitude2(p=complex(*p), phi=cmath.rect(lam, angle)))
+        else:
+            axis = draw(st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda a: math.hypot(*a) > 0.1))
+            maps.append(Similitude3.from_axis_angle(p=p, lam=lam, axis=axis, angle=angle))
+    return IfsSystem(maps=tuple(maps))
+
+
+def _assert_scaled(ball, unit, k, ulps):
+    """``ball`` is ``unit`` times 2^k within ``ulps`` ulps of its size."""
+    c, r = np.ldexp(_coords(unit.c), k), math.ldexp(unit.r, k)
+    tol = ulps * math.ulp(max(float(np.abs(c).max()), r))
+    assert np.abs(_coords(ball.c) - c).max() <= tol and abs(ball.r - r) <= ulps * math.ulp(r)
+
+
+class TestScaleEquivariance:
+    """Times 2^k, a unit system's results are the unit results times 2^k:
+    scaling by a power of two is exact while every value stays normal, and
+    out-of-range point sets are solved at a power-of-two scale."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_results_scale_by_powers_of_two(self, dim, data):
+        unit = data.draw(_unit_systems(dim))
+        k = data.draw(st.integers(-1000, 1000))
+        ifs = _scaled(unit, 2.0**k)
+        ball, _ = min_ball(unit.fixed_points)
+        _assert_scaled(min_ball(ifs.fixed_points)[0], ball, k, 0)
+        base = general_bounding_ball(unit).ball
+        _assert_scaled(general_bounding_ball(ifs).ball, base, k, 2)
+        scaled_base = Ball(_point_of(np.ldexp(_coords(base.c), k).tolist()), math.ldexp(base.r, k))
+        _assert_scaled(tighten(ifs, scaled_base, 6).ball, tighten(unit, base, 6).ball, k, 2)
+
+
 class TestBlockRadii:
     """At the first depth ``tighten`` scans by blocks, every word image lies
     within its block's radius of the block's first word."""
@@ -734,7 +788,7 @@ class TestBlockRadii:
             base = (general_bounding_ball if kind in ("tiny", "huge") else best_bounding_ball)(ifs).ball
             levels = TestBlockScan._sizes(n)[1]
             m = bounds._block_depth(n, levels)
-            images, factors = _word_tree_images(ifs, [base.c], levels, 10**6, rows=1)
+            images, factors = _word_tree_images(ifs, [base.c], levels, 10**6, factors=True)
             slack = verify_containment(ifs, base)
             _, radii = bounds._block_radii(ifs, base, slack, levels, m, factors)
             # hypot: no square leaves the float range at 1e-200 or 1e155
@@ -758,7 +812,7 @@ class TestWordImages:
         rng = np.random.default_rng(58 + levels)
         ifs = random_ifs_2d(rng, n=3) if dim == 2 else random_ifs_3d(rng, n=3)
         z = 0.3 - 0.2j if dim == 2 else np.array([0.3, -0.2, 0.5])
-        centers, factors = _word_tree_images(ifs, [z], levels, 10**6, rows=1)
+        centers, factors = _word_tree_images(ifs, [z], levels, 10**6, factors=True)
         words = _all_words(ifs.n, levels)
         assert len(centers) == len(factors) == len(words)
         ref = [apply_word(ifs, w, z) for w in words]

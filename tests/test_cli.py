@@ -14,7 +14,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ifsbound
-from ifsbound import IfsDocumentError, IfsSystem, Similitude3, parse_ifs, serialize_ifs
+from ifsbound import (
+    Ball,
+    IfsDocumentError,
+    IfsSystem,
+    Line,
+    Similitude3,
+    intersect_line,
+    parse_ifs,
+    serialize_ifs,
+    tighten,
+)
 from ifsbound.cli import NonFiniteRecordError, _jnum, _jval, _point_rows, main
 from conftest import random_ifs_2d, random_ifs_3d
 
@@ -746,17 +756,9 @@ def test_circumcircle_overflow_names_its_cause(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "overflow" in lines[0]
 
 
-@pytest.mark.parametrize("method, code", [("auto", 0), ("circum", 1), ("general", 0)])
-def test_trifractal_overflow_falls_back(method, code, tmp_path, capsys):
-    # abs(p) ** 2 of fixed points near 2^700 raises OverflowError in Python
-    # floats: the circumcircle is unavailable, so bound takes the general ball
-    ps = ((-5.261604122584017e-152, 1.4766427625592287e-152),
-          (-2.675760607411687e-151, -1.3593468038007286e-151),
-          (2.0747585716942888e-153, 7.920038967133988e-152))
-    phis = ((0.19805059465607325, -0.28948047737751437),
-            (-0.36638456420116855, -0.45871380609891726),
-            (-0.07252019919399065, -0.5402993520140258))
-    maps = [{"p": [math.ldexp(x, 1200) for x in p], "phi": list(f)} for p, f in zip(ps, phis)]
+def _assert_circumcircle_falls_back(maps, method, code, radius, tmp_path, capsys):
+    """``bound`` takes the general ball, with a note, for a circumcircle
+    that overflows; ``bound --method circum`` exits 1 with one error line."""
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"dimension": 2, "maps": maps}))
     code_out = main(["bound", "--method", method, "--input", str(path)])
@@ -768,9 +770,46 @@ def test_trifractal_overflow_falls_back(method, code, tmp_path, capsys):
         return
     assert captured.err == ""
     record = json.loads(captured.out)
-    assert record["method"] == "general" and record["radius"] == 1.03661887978e211
+    assert record["method"] == "general" and record["radius"] == radius
     notes = ["circumcircle unavailable: the circumcircle overflows the float range"]
     assert record["notes"] == (notes if method == "auto" else [])
+
+
+@pytest.mark.parametrize("method, code", [("auto", 0), ("circum", 1), ("general", 0)])
+def test_trifractal_overflow_falls_back(method, code, tmp_path, capsys):
+    # abs(p) ** 2 of fixed points near 2^700 raises OverflowError in Python
+    # floats: the circumcircle is unavailable, so bound takes the general ball
+    ps = ((-5.261604122584017e-152, 1.4766427625592287e-152),
+          (-2.675760607411687e-151, -1.3593468038007286e-151),
+          (2.0747585716942888e-153, 7.920038967133988e-152))
+    phis = ((0.19805059465607325, -0.28948047737751437),
+            (-0.36638456420116855, -0.45871380609891726),
+            (-0.07252019919399065, -0.5402993520140258))
+    maps = [{"p": [math.ldexp(x, 1200) for x in p], "phi": list(f)} for p, f in zip(ps, phis)]
+    _assert_circumcircle_falls_back(maps, method, code, 1.03661887978e211, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("method, code", [("auto", 0), ("circum", 1), ("general", 0)])
+def test_bifractal_overflow_falls_back(method, code, tmp_path, capsys):
+    # |p2 - p1| = 2.1e308: Python's complex abs raises OverflowError
+    maps = [{"p": [s * 0.75e308, s * 0.75e308], "phi": [0.5, 0]} for s in (-1, 1)]
+    _assert_circumcircle_falls_back(maps, method, code, 1.06066017178e308, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("gap, verified", [(1e-9, True), (1e-8, False)])
+def test_one_containment_verdict(gap, verified, cantor_file, capsys):
+    """verify, tighten and intersect_line agree on Cantor balls just inside
+    (min slack -6.7e-10) and just outside (-6.7e-9) the tolerance 1.5e-9."""
+    ifs, ball = parse_ifs(CANTOR_DOC), Ball(0.5, 0.5 - gap)
+    code = main(["verify", "--input", cantor_file, "--center", "0.5", "0", "--radius", repr(ball.r)])
+    assert json.loads(capsys.readouterr().out)["contained"] is verified
+    assert code == (0 if verified else 1)
+    for query in (lambda: tighten(ifs, ball, 2), lambda: intersect_line(ifs, Line(0, 1), 1e-3, ball)):
+        if verified:
+            query()
+        else:
+            with pytest.raises(ValueError, match=r"is not a verified bounding ball \(min slack -6\.667e-09\)"):
+                query()
 
 
 def _bound_general(tmp_path, points, center):

@@ -39,7 +39,7 @@ def test_word_tree_matches_broadcast_fill(dim, n, starts):
     ifs = _system(dim, n, 100 * dim + n)
     pts = [bounds.best_bounding_ball(ifs).ball.c] if starts == "center" else list(ifs.fixed_points)
     for levels in range(9):
-        images, factors = _word_tree_images(ifs, pts, levels, 10**6, rows=1)
+        images, factors = _word_tree_images(ifs, pts, levels, 10**6, factors=True)
         ref_images, ref_factors = word_tree_reference(ifs, pts, levels)
         assert np.array_equal(images, ref_images)
         assert np.array_equal(factors, ref_factors)
@@ -50,7 +50,7 @@ def test_3d_images_are_axis_rows(n):
     """3D images hold one row per axis, so each "images op one point"
     runs along an axis row."""
     ifs = _system(3, n, 17)
-    images, _ = _word_tree_images(ifs, [ifs.maps[0].p], 6, 10**6, rows=1)
+    images, _ = _word_tree_images(ifs, [ifs.maps[0].p], 6, 10**6, factors=True)
     assert images.shape == (n**6, 3) and images.T.flags.c_contiguous
 
 
