@@ -37,7 +37,7 @@ from .ifs import (
     _rows,
     _word_tree_images,
 )
-from .minball import _ball, _exponent, min_ball, radius_function
+from .minball import _ball, _exponent, _gather, min_ball, radius_function
 
 CONTAINMENT_RTOL = 1e-9
 
@@ -375,15 +375,6 @@ _BLOCK_WORDS = 64
 _BLOCKS_FROM = 8192
 
 
-def _block_depth(n: int, levels: int) -> int:
-    """Depth m of the word blocks ``tighten`` scans by, 0 for none."""
-    m = 0
-    if n**levels >= _BLOCKS_FROM:
-        while n ** (m + 1) <= _BLOCK_WORDS:
-            m += 1
-    return m
-
-
 def _norms(diff: np.ndarray) -> np.ndarray:
     """Length of each point of ``diff``, which a 3D call overwrites."""
     # kept per layout: np.abs of a complex and a row norm round apart
@@ -403,12 +394,18 @@ def _reach(points, factors, c, r: float) -> np.ndarray:
     return out
 
 
-def _block_radii(ifs, b, slack, levels, m, factors) -> tuple:
-    """The factors ``lambda_v`` of the outer words of ``tighten``'s blocks of
-    n^m words, and the radius of a ball around each block, centered on its
-    first word.  Block v holds the words T_v(T_u(c)) for the n^m inner words
-    u; the inner letters of its first word are all map 1, so lambda_v is
-    that word's factor over ``lam_1**m``."""
+def _blocks(ifs, b, slack, levels, factors):
+    """``tighten``'s word blocks: ``None`` below _BLOCKS_FROM words or if no
+    block would hold two words, else the depth m of blocks of n^m words, the
+    factors ``lambda_v`` of their outer words, and the radius of a ball around
+    each block, centered on its first word.  Block v holds the words
+    T_v(T_u(c)) for the n^m inner words u; its first word's inner letters are
+    all map 1, so lambda_v is that word's factor over ``lam_1**m``."""
+    n, m = ifs.n, 0
+    if n**levels < _BLOCKS_FROM or n > _BLOCK_WORDS:
+        return None
+    while n ** (m + 1) <= _BLOCK_WORDS:
+        m += 1
     # B(c, grow) maps into itself under every map (it makes every slack
     # nonnegative), so it holds every exact T_u(c): a block lies within
     # 2 * lambda_v * grow of its first word.  It holds every exact word
@@ -422,30 +419,8 @@ def _block_radii(ifs, b, slack, levels, m, factors) -> tuple:
     grow = b.r - min(s / (1.0 - mm.lam) for s, mm in zip(slack, ifs.maps))
     span = float(np.abs(_coords(b.c)).sum()) + grow
     allowance = 64 * (levels + 1) * 2.0**-52 * (span + b.r)
-    lams_v = factors[:: ifs.n**m] / ifs.maps[0].lam ** m
-    return lams_v, 2.0 * grow * lams_v + allowance
-
-
-def _tighten_by_blocks(ifs, b, slack, levels, m, centers, factors):
-    """``tighten``'s smallest ball and covering radius, scanning its word
-    images by the blocks of :func:`_block_radii`."""
-    lams_v, radii = _block_radii(ifs, b, slack, levels, m, factors)
-    center_ball, _ = min_ball(centers, _blocks=radii)
-    c = center_ball.c
-    # the covering radius likewise: at least the largest reach of a first
-    # word, at most |first_v - c'| + radius_v + lambda_v * lambda_star^m * r
-    # in block v; only the blocks that can reach that far are computed
-    size = ifs.n**m
-    dist_v = _norms(np.subtract(centers[::size], c))
-    low = (dist_v + factors[::size] * b.r).max()
-    top = dist_v + radii + lams_v * (ifs.lambda_star**m * b.r)
-    near = (~(top < low)).nonzero()[0]
-
-    def gather(a):  # the blocks in near, axis rows kept
-        rows = a.T.reshape(*a.shape[1:], -1, size)
-        return np.take(rows, near, axis=-2).reshape(*a.shape[1:], -1).T
-
-    return center_ball, float(_reach(gather(centers), gather(factors), c, b.r).max())
+    lams_v = factors[:: n**m] / ifs.maps[0].lam ** m
+    return m, lams_v, 2.0 * grow * lams_v + allowance
 
 
 def tighten(
@@ -492,17 +467,24 @@ def tighten(
         work = _ball(c, b.r, -e, ifs.dim)
         np.ldexp(_rows(centers), -e, out=_rows(centers))
         slack = [math.ldexp(s, -e) for s in slack]
-    m = _block_depth(ifs.n, levels)
-    if m:
-        center_ball, radius = _tighten_by_blocks(ifs, work, slack, levels, m, centers, factors)
-    else:
-        center_ball, _ = min_ball(centers)
-        # min_ball is done with the images and factors: overwritten in place
-        radius = float(np.max(_reach(centers, factors, center_ball.c, work.r)))
+    blocks = _blocks(ifs, work, slack, levels, factors)
+    center_ball, _ = min_ball(centers, _blocks=None if blocks is None else blocks[2])
+    if blocks is not None:
+        # the covering radius is at least the largest reach of a first word,
+        # at most |first_v - c'| + radius_v + lambda_v * lambda_star^m * r in
+        # block v: only the blocks that can reach that far are gathered
+        m, lams_v, radii = blocks
+        size = ifs.n**m
+        dist_v = _norms(np.subtract(centers[::size], center_ball.c))
+        low = (dist_v + factors[::size] * work.r).max()
+        top = dist_v + radii + lams_v * (ifs.lambda_star**m * work.r)
+        near = (~(top < low)).nonzero()[0]
+        centers, factors = _gather(centers.T, near, size).T, _gather(factors, near, size)
+    # min_ball is done with the images and factors: overwritten in place
+    radius = float(_reach(centers, factors, center_ball.c, work.r).max())
     if e:
         center_ball = _ball(_coords(center_ball.c).tolist(), center_ball.r, e, ifs.dim)
         radius = math.ldexp(radius, e)
-    c_prime = center_ball.c
     coarse = center_ball.r + ifs.lambda_star**levels * b.r
     notes = (f"coarse radius bound {coarse:.12g}",)
     if radius > b.r:
@@ -512,4 +494,4 @@ def tighten(
             "tightened",
             notes=notes + ("refinement did not shrink the ball; input kept",),
         )
-    return _report(ifs, Ball(c_prime, radius), "tightened", notes=notes)
+    return _report(ifs, Ball(center_ball.c, radius), "tightened", notes=notes)

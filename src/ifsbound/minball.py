@@ -164,6 +164,14 @@ def _dist2(cols: np.ndarray, c, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gather(a: np.ndarray, near: np.ndarray, size: int) -> np.ndarray:
+    """The blocks ``near`` of ``size`` consecutive entries along the last axis of ``a``."""
+    blocks = a.reshape(*a.shape[:-1], -1, size)
+    # np.take copies a strided array whole first; indexing is slower on a contiguous one
+    rows = np.take(blocks, near, axis=-2) if a.flags.c_contiguous else blocks[..., near, :]
+    return rows.reshape(*a.shape[:-1], -1)
+
+
 def _farthest(cols: np.ndarray, c, d2: np.ndarray, tmp: np.ndarray, radii):
     """Index and squared distance of the point farthest from ``c``, the
     first on ties.  ``radii``, if given, splits the points into equal
@@ -181,7 +189,7 @@ def _farthest(cols: np.ndarray, c, d2: np.ndarray, tmp: np.ndarray, radii):
     top = np.add(np.sqrt(near2, out=tmp[:nb]), radii, out=tmp[:nb])
     low = near2.max()
     near = (~(np.square(top, out=top) < low)).nonzero()[0]  # NaN keeps its block
-    rows = cols.reshape(len(cols), nb, size)[:, near].reshape(len(cols), -1)
+    rows = _gather(cols, near, size)
     j = int(_dist2(rows, c, d2[: rows.shape[1]], tmp[: rows.shape[1]]).argmax())
     return int(near[j // size]) * size + j % size, d2[j]
 

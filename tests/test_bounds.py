@@ -608,7 +608,7 @@ class TestBlockScan:
         assert np.asarray(center_ball.c).tobytes() == np.asarray(full_ball.c).tobytes()
         assert center_ball.r == full_ball.r
         assert support.indices == full_support.indices
-        return bool(kwargs)
+        return kwargs.get("_blocks") is not None
 
     @staticmethod
     def _sizes(n):
@@ -787,10 +787,9 @@ class TestBlockRadii:
                 ifs = _scaled(ifs, 1e-200 if kind == "tiny" else 1e155)
             base = (general_bounding_ball if kind in ("tiny", "huge") else best_bounding_ball)(ifs).ball
             levels = TestBlockScan._sizes(n)[1]
-            m = bounds._block_depth(n, levels)
             images, factors = _word_tree_images(ifs, [base.c], levels, 10**6, factors=True)
             slack = verify_containment(ifs, base)
-            _, radii = bounds._block_radii(ifs, base, slack, levels, m, factors)
+            m, _, radii = bounds._blocks(ifs, base, slack, levels, factors)
             # hypot: no square leaves the float range at 1e-200 or 1e155
             if dim == 2:
                 blocks = images.reshape(len(radii), -1)
@@ -800,6 +799,30 @@ class TestBlockRadii:
                 x, y, z = np.moveaxis(blocks - blocks[:, :1], -1, 0)
                 dist = np.hypot(np.hypot(x, y), z)
             assert m and (dist <= radii[:, None]).all()
+
+
+class TestBlockRule:
+    """``tighten`` scans by blocks from 8192 words on, when a block of n^m
+    <= 64 words holds at least two words: m = 6, 3, 3 for n = 2, 3, 4."""
+
+    @staticmethod
+    def _rule(n, levels):
+        maps = tuple(Similitude2(p=complex(math.cos(k), math.sin(k)), phi=0.1) for k in range(n))
+        ifs = IfsSystem(maps=maps)
+        base = general_bounding_ball(ifs).ball
+        _, factors = _word_tree_images(ifs, [base.c], levels, 10**6, factors=True)
+        return bounds._blocks(ifs, base, verify_containment(ifs, base), levels, factors), factors
+
+    @pytest.mark.parametrize("n,m", [(2, 6), (3, 3), (4, 3)])
+    def test_depth_from_8192_words(self, n, m):
+        below, at = TestBlockScan._sizes(n)
+        assert self._rule(n, below)[0] is None
+        (depth, lams_v, radii), factors = self._rule(n, at)
+        assert depth == m and len(lams_v) == len(radii) == len(factors) // n**m
+
+    @pytest.mark.parametrize("n,levels", [(1, 20), (65, 3)])
+    def test_none_without_two_words_a_block(self, n, levels):
+        assert self._rule(n, levels)[0] is None
 
 
 class TestWordImages:

@@ -473,3 +473,34 @@ class TestSmallKernel:
             assert np.linalg.norm(np.array(c[:dim]) - center) <= tol
             assert members[-1] == len(q) - 1 and members == sorted(set(members))
         assert sizes == set(range(1, dim + 3))
+
+
+class TestGather:
+    """``_gather`` copies the chosen blocks of consecutive entries, bit for
+    bit as indexing the reshaped blocks does, in each layout it is given."""
+
+    @pytest.mark.parametrize("layout", ["complex", "rows", "strided_rows", "fortran"])
+    def test_matches_block_indexing(self, layout):
+        rng = np.random.default_rng(170)
+        for nb, size in ((1, 1), (5, 1), (8, 64), (37, 27)):
+            count = nb * size
+            near = np.sort(rng.choice(nb, size=rng.integers(0, nb + 1), replace=False))
+            if layout == "complex":
+                a = rng.normal(size=count) + 1j * rng.normal(size=count)
+                expected = np.take(a.reshape(-1, size), near, axis=-2).reshape(-1)
+                got = minball._gather(a, near, size)
+            elif layout in ("rows", "strided_rows"):
+                if layout == "rows":
+                    a = rng.normal(size=(3, count))
+                else:  # the (2, N) rows min_ball reads of complex points
+                    a = np.stack([rng.normal(size=count), rng.normal(size=count)], axis=-1).T
+                    assert count == 1 or not a.flags.c_contiguous
+                d = len(a)
+                expected = a.reshape(d, nb, size)[:, near].reshape(d, -1)
+                got = minball._gather(a, near, size)
+            else:
+                a = np.asfortranarray(rng.normal(size=(count, 3)))
+                rows = a.T.reshape(3, -1, size)
+                expected = np.take(rows, near, axis=-2).reshape(3, -1).T
+                got = minball._gather(a.T, near, size).T
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()

@@ -48,3 +48,31 @@ def test_parity_against_itself():
     assert "refine seed 1: fingerprint" in result.stdout
     assert "line_query seed 1: fingerprint" in result.stdout
     assert result.stdout.splitlines()[-1] == "3 decks, 620 ops here: 0 differences"
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 10
+"""
+
+
+def test_failing_hypothesis_example_is_printed(tmp_path):
+    # under the project's warning filters, a failing property test must
+    # report its falsifying example, not stop pytest with INTERNALERROR
+    (tmp_path / "test_failing.py").write_text(FAILING_PROPERTY)
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "-p", "no:cacheprovider", "test_failing.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    output = result.stdout + result.stderr
+    assert result.returncode == 1, output
+    assert "Falsifying example" in output and "INTERNALERROR" not in output, output
