@@ -37,7 +37,7 @@ from .ifs import (
     _rows,
     _word_tree_images,
 )
-from .minball import _ball, _exponent, _gather, min_ball, radius_function
+from .minball import _ball, _dist2, _exponent, _gather, _near, min_ball
 
 CONTAINMENT_RTOL = 1e-9
 
@@ -104,6 +104,11 @@ def verify_containment(ifs: IfsSystem, b: Ball) -> tuple:
 
 def _slack(ifs: IfsSystem, b: Ball) -> tuple:
     return tuple((1.0 - m.lam) * b.r - m.mu * dist(b.c, m.p) for m in ifs.maps)
+
+
+def radius_function(ifs: IfsSystem, z) -> float:
+    """Largest distance from ``z`` to a fixed point of the system."""
+    return max(dist(p, z) for p in ifs.fixed_points)
 
 
 def _certified(ifs: IfsSystem, b: Ball) -> tuple:
@@ -375,21 +380,14 @@ _BLOCK_WORDS = 64
 _BLOCKS_FROM = 8192
 
 
-def _norms(diff: np.ndarray) -> np.ndarray:
-    """Length of each point of ``diff``, which a 3D call overwrites."""
-    # kept per layout: np.abs of a complex and a row norm round apart
-    if diff.ndim == 1:
-        return np.abs(diff)
-    # (x^2 + y^2) + z^2 by columns (axis rows of the word images), as
-    # .sum(axis=1) adds a row's squares
-    sq = np.square(diff, out=diff)
-    out = np.add(sq[:, 0], sq[:, 1])
-    return np.sqrt(np.add(out, sq[:, 2], out=out), out=out)
-
-
 def _reach(points, factors, c, r: float) -> np.ndarray:
     """``|points - c| + factors * r``, computed over ``points`` and ``factors``."""
-    out = _norms(np.subtract(points, c, out=points))
+    # kept per layout: np.abs of a complex and a row norm round apart
+    if points.ndim == 1:
+        out = np.abs(np.subtract(points, c, out=points))
+    else:  # min_ball's distance pass, on the axis rows of the word images
+        rows = points.T
+        out = np.sqrt(_dist2(rows, c, rows[0], rows[1]), out=rows[0])
     out += np.multiply(factors, r, out=factors)
     return out
 
@@ -470,15 +468,13 @@ def tighten(
     blocks = _blocks(ifs, work, slack, levels, factors)
     center_ball, _ = min_ball(centers, _blocks=None if blocks is None else blocks[2])
     if blocks is not None:
-        # the covering radius is at least the largest reach of a first word,
-        # at most |first_v - c'| + radius_v + lambda_v * lambda_star^m * r in
-        # block v: only the blocks that can reach that far are gathered
+        # the covering radius is at least the largest first-word reach, and no
+        # word of block v reaches more than radius_v + lambda_v * lambda_star^m * r
+        # beyond its first word's reach: _near keeps the blocks that can matter
         m, lams_v, radii = blocks
         size = ifs.n**m
-        dist_v = _norms(np.subtract(centers[::size], center_ball.c))
-        low = (dist_v + factors[::size] * work.r).max()
-        top = dist_v + radii + lams_v * (ifs.lambda_star**m * work.r)
-        near = (~(top < low)).nonzero()[0]
+        first = _reach(centers[::size].copy(), factors[::size].copy(), center_ball.c, work.r)
+        near = _near(first, radii + lams_v * (ifs.lambda_star**m * work.r))
         centers, factors = _gather(centers.T, near, size).T, _gather(factors, near, size)
     # min_ball is done with the images and factors: overwritten in place
     radius = float(_reach(centers, factors, center_ball.c, work.r).max())

@@ -13,9 +13,6 @@ cannot hold the farthest point (the culling of Hart and DeFanti, SIGGRAPH
 1991); the point found and its distance are the same floats.  Point sets of
 magnitude beyond 2^500 or below 2^-400 are solved scaled by a power of two,
 so no square overflows or underflows.
-
-Also hosts the radius function of an IFS: the distance from a query point
-to its farthest fixed point, the smallest covering radius centered there.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .ifs import Ball, IfsSystem, _point_of, _rows, dist
+from .ifs import Ball, _point_of, _rows
 
 # an edge whose part off the span of the earlier edges is below this
 # fraction of its length counts as degenerate (flat simplex)
@@ -40,11 +37,6 @@ class SupportSet:
 
     points: tuple
     indices: tuple
-
-
-def radius_function(ifs: IfsSystem, z) -> float:
-    """Largest distance from ``z`` to a fixed point of the system."""
-    return max(dist(p, z) for p in ifs.fixed_points)
 
 
 # up to this many points (and no blocks), the passes run in Python floats:
@@ -172,23 +164,27 @@ def _gather(a: np.ndarray, near: np.ndarray, size: int) -> np.ndarray:
     return rows.reshape(*a.shape[:-1], -1)
 
 
+def _near(first: np.ndarray, radii) -> np.ndarray:
+    """Indices of the blocks v that can hold the largest value when each
+    value of v is at most ``first[v] + radii[v]``, ``first[v]`` among them:
+    those reaching ``first.max()``.  A NaN or an inf keeps its block."""
+    # ndarray methods: np.max and friends cost microseconds of dispatch
+    return (~(first + radii < first.max())).nonzero()[0]
+
+
 def _farthest(cols: np.ndarray, c, d2: np.ndarray, tmp: np.ndarray, radii):
     """Index and squared distance of the point farthest from ``c``, the
     first on ties.  ``radii``, if given, splits the points into equal
     contiguous blocks, each within its radius of its first point.  The
-    farthest squared distance is at least the largest one of the first
-    points; only the blocks whose ball reaches that far are gathered (in
-    index order) and scanned, so the result is the one of a full scan."""
-    # ndarray methods: np.max and friends cost microseconds of dispatch
+    farthest distance is at least the largest one of the first points;
+    only the :func:`_near` blocks are gathered (in index order) and
+    scanned, so the result is the one of a full scan."""
     if radii is None:
         k = int(_dist2(cols, c, d2, tmp).argmax())
         return k, d2[k]
     nb = len(radii)
     size = cols.shape[1] // nb
-    near2 = _dist2(cols[:, ::size], c, d2[:nb], tmp[:nb])
-    top = np.add(np.sqrt(near2, out=tmp[:nb]), radii, out=tmp[:nb])
-    low = near2.max()
-    near = (~(np.square(top, out=top) < low)).nonzero()[0]  # NaN keeps its block
+    near = _near(np.sqrt(_dist2(cols[:, ::size], c, d2[:nb], tmp[:nb]), out=d2[:nb]), radii)
     rows = _gather(cols, near, size)
     j = int(_dist2(rows, c, d2[: rows.shape[1]], tmp[: rows.shape[1]]).argmax())
     return int(near[j // size]) * size + j % size, d2[j]
@@ -281,7 +277,8 @@ def ball_from_support(points) -> Ball:
     d, k = cols.shape
     if k > d + 1:
         raise ValueError(f"at most {d + 1} support points in {d}D, got {k}")
-    *_, (_, c, rank) = _centers([_point(work, i) for i in range(k)], d)
+    q = [_point(work, i) for i in range(k)]
+    *_, (_, c, rank) = _centers(q, d)
     if rank < k - 1:
         return min_ball(cols.T)[0]
-    return _ball(c, float(np.max(np.linalg.norm(work.T - c[:d], axis=1))), e, d)
+    return _ball(c, math.sqrt(_farthest_floats(q, c)[1]), e, d)

@@ -656,6 +656,12 @@ class TestBlockScan:
             base = general_bounding_ball(ifs).ball  # the circumcircle overflows
             assert self._check(ifs, base, 9)
 
+    def test_tiny_images_of_a_unit_ball(self):
+        # the radius is in range but every word image lies below 2^-400:
+        # min_ball scales the points and the block radii by a power of two
+        maps = (Similitude2(p=0, phi=0.5j), Similitude2(p=1e-130, phi=0.5))
+        assert self._check(IfsSystem(maps=maps), Ball(0, 1.0), 13)
+
     def test_engages_from_8192_words(self):
         ifs = random_ifs_2d(np.random.default_rng(140), n=2)
         base = best_bounding_ball(ifs).ball

@@ -489,6 +489,38 @@ def test_help_still_goes_to_stdout(capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "document root must be an object"),
+        ({"dimension": 4, "maps": []}, "dimension must be 2 or 3"),
+        ({"dimension": 2, "maps": []}, "maps must be a nonempty array"),
+        ({"dimension": 2, "maps": [1]}, "map 1 must be an object"),
+        ({"dimension": 3, "maps": [{"p": [0, 0, 0], "axis": [0, 0, 1]}]}, "map 1 needs lambda"),
+        ({"dimension": 2, "maps": [{"p": ["a", 0], "phi": [0.5, 0]}]}, "map 1 p must contain numbers"),
+    ],
+    ids=["array_root", "dimension_4", "no_maps", "map_not_object", "3d_without_lambda", "text_coordinate"],
+)
+def test_invalid_documents_are_one_error_line(doc, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main(["bound", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("raw", ["0", "-3", "abc"])
+def test_bad_node_budget_is_one_error_line(raw, cantor_file, capsys, monkeypatch):
+    monkeypatch.setenv("IFSBOUND_NODE_BUDGET", raw)
+    code = main(["sample", "--input", cantor_file, "--depth", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: IFSBOUND_NODE_BUDGET must be a positive integer, got {raw!r}\n"
+
+
 @pytest.mark.parametrize("command", ["sample", "render"])
 def test_count_beyond_budget_is_domain_error(command, cantor_file, tmp_path, capsys, monkeypatch):
     out = ["--out", str(tmp_path / "x.svg")] if command == "render" else []

@@ -2,7 +2,7 @@
 
 The word-tree fill, the covering-radius norms, the smallest ball of small
 point sets and the 3D distance each have a faster form (3D images stored
-one buffer row per axis, column adds, Python floats, ``sqrt(v . v)``); the
+one buffer row per axis, adds of axis rows, Python floats, ``sqrt(v . v)``); the
 references in ``conftest.py`` keep the plain forms (C-ordered ``(N, 3)``
 rows in 3D), and every comparison here is ``==``.
 """
@@ -64,7 +64,8 @@ def test_reach_matches_broadcast_norms(dim, count):
     factors = rng.uniform(0.0, 0.5, count)
     expected = norms_reference(pts - c) + factors * 2.5
     assert np.array_equal(bounds._reach(pts.copy(), factors.copy(), c, 2.5), expected)
-    assert np.array_equal(bounds._norms(pts.copy()), norms_reference(pts))
+    if dim == 3:  # F-ordered rows: the distance pass runs in place on contiguous axis rows
+        assert np.array_equal(bounds._reach(np.asfortranarray(pts), factors.copy(), c, 2.5), expected)
 
 
 def _same_as_reference(points):

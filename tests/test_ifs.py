@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ifsbound import (
     Ball,
+    BoundReport,
     IfsSystem,
     Label,
     Line,
@@ -21,6 +23,7 @@ from ifsbound import (
     chaos_game,
     hutchinson_balls,
     min_ball,
+    tighten,
 )
 from conftest import cantor_ifs, sierpinski_ifs
 
@@ -366,3 +369,26 @@ class TestPointInput:
         assert PointCloud(points=rows).points == (1 + 2j, 3 + 4j)
         with pytest.raises(ValueError):
             PointCloud(points=np.ones((2, 3)))
+
+
+_PLANE = IfsSystem(maps=(Similitude2(p=0, phi=0.5), Similitude2(p=1, phi=0.5)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tighten(_PLANE, Ball(0.5, 1.0), -1), "levels must be >= 0"),
+        (lambda: address_points(_PLANE, depth=-1), "depth must be >= 0"),
+        (lambda: chaos_game(_PLANE, count=-1, seed=1), "count must be >= 0"),
+        (lambda: chaos_game(_PLANE, count=5, seed=1, burn_in=-1), "burn_in must be >= 0"),
+        (
+            lambda: BoundReport(ball=Ball(0, 1.0), method="bogus", slack=(), lambda_star=0.5, mu_star=0.5),
+            "unknown method tag 'bogus'",
+        ),
+        (lambda: Similitude3(p=(0, 0, 0), lam=0.5, rot=np.eye(2)), "rotation must be a 3x3 matrix"),
+    ],
+    ids=["tighten_levels", "address_depth", "chaos_count", "chaos_burn_in", "report_method", "rotation_2x2"],
+)
+def test_library_calls_name_their_invalid_input(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

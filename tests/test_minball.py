@@ -504,3 +504,21 @@ class TestGather:
                 expected = np.take(rows, near, axis=-2).reshape(3, -1).T
                 got = minball._gather(a.T, near, size).T
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+class TestNear:
+    """``_near`` keeps the blocks whose first value plus radius reaches the
+    largest first value; a tie, a NaN or an inf keeps its block."""
+
+    @pytest.mark.parametrize(
+        "first, radii, kept",
+        [
+            ([1.0, 3.0, 2.0], [1.5, 0.0, 0.5], [1]),  # 2.5 and 2.5 fall short of 3
+            ([1.0, 3.0, 2.0], [2.0, 0.0, 1.0], [0, 1, 2]),  # ties at the maximum
+            ([1.0, 3.0], [math.nan, 0.0], [0, 1]),
+            ([math.nan, 3.0, 1.0], [0.0, 0.0, 0.0], [0, 1, 2]),  # the maximum is NaN
+            ([1.0, 3.0, 2.0], [math.inf, 0.0, 0.0], [0, 1]),
+        ],
+    )
+    def test_keeps_blocks_that_reach_the_maximum(self, first, radii, kept):
+        assert minball._near(np.array(first), np.array(radii)).tolist() == kept

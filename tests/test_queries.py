@@ -10,6 +10,7 @@ from ifsbound import (
     IfsSystem,
     Line,
     address_points,
+    apply_map_ball,
     best_bounding_ball,
     chaos_game,
     general_bounding_ball,
@@ -272,12 +273,25 @@ _BALL_3D = Ball((0.5, 0.0, 0.0), 1.0)
         lambda ifs: tighten(ifs, _BALL_3D, 1),
         lambda ifs: intersect_line(ifs, Line(0j, 1 + 0j), 1e-3, bound=_BALL_3D),
         lambda ifs: intersect_line(ifs, Line((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), 1e-3),
+        lambda ifs: apply_map_ball(ifs.maps[0], _BALL_3D),
+        lambda ifs: apply_map_ball(Similitude3(p=(0, 0, 0), lam=0.5, rot=np.eye(3)), Ball(0, 1.0)),
+        lambda ifs: line_ball_distance(Line(0j, 1 + 0j), _BALL_3D),
+        lambda ifs: line_ball_distance(Line((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), Ball(0, 1.0)),
     ],
-    ids=["tighten_3d_ball", "intersect_3d_bound", "intersect_3d_line"],
+    ids=[
+        "tighten_3d_ball",
+        "intersect_3d_bound",
+        "intersect_3d_line",
+        "map_ball_2d_3d",
+        "map_ball_3d_2d",
+        "line_ball_2d_3d",
+        "line_ball_3d_2d",
+    ],
 )
 def test_dimension_mismatch_raises(call):
-    """A 2D system with a 3D ball or line: the containment check or the
-    line check rejects it before any work."""
+    """A 2D system, map or line with a 3D ball or line (or the reverse):
+    the containment check, the map or the line check rejects it before any
+    work."""
     with pytest.raises(ValueError, match="dimension"):
         call(cantor_ifs())
 
