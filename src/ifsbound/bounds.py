@@ -5,8 +5,8 @@ iterative tightener:
 
 * the general bounding ball ``(c, mu_star * rho(c) / (1 - lambda_star))``
   valid for any map count and in both 2D and 3D, with the center chosen as
-  the smallest-covering-circle center of the fixed points or as one of two
-  cheap mean-center heuristics;
+  the smallest-covering-circle center of the fixed points (where the ball
+  is smallest) or as one of two cheap mean-center heuristics;
 * the trifractal circumcircle (three maps, plane): the smallest circle to
   which all three map images are internally tangent, in closed form;
 * the bifractal circumcircle (two maps, plane): the unique fixed circle of
@@ -166,35 +166,20 @@ def general_bounding_ball(ifs: IfsSystem, center: str = "optimal") -> BoundRepor
 
     ``center`` selects where the ball sits: ``optimal`` uses the center of
     the smallest circle covering the fixed points (the minimizer of the
-    radius function), ``arithmetic``/``harmonic`` the mean centers, and
-    ``best`` evaluates all three and keeps the smallest resulting radius.
-    Works in the plane and in space.
+    radius function), ``arithmetic``/``harmonic`` the mean centers.
+    ``best`` is ``optimal``: no center gives a smaller radius function, so
+    no other center gives a smaller ball.  Works in the plane and in space.
     """
-    scale = mu_star(ifs) / (1.0 - ifs.lambda_star)
-
-    def candidates():
-        if center in ("optimal", "best"):
-            # scored by radius_function like the other candidates, so that
-            # ties (two fixed points: every center is the midpoint) go here
-            ball, _ = min_ball(ifs.fixed_points)
-            yield "general", ball.c, radius_function(ifs, ball.c)
-        if center in ("arithmetic", "best"):
-            c_a = _arithmetic_center(ifs)
-            yield "general_arithmetic", c_a, radius_function(ifs, c_a)
-        if center in ("harmonic", "best"):
-            try:
-                c_h = mean_centers(ifs)[1]
-            except OverflowError:
-                if center == "harmonic":
-                    raise
-                return  # "best" keeps the other candidates
-            yield "general_harmonic", c_h, radius_function(ifs, c_h)
-
-    if center not in ("optimal", "arithmetic", "harmonic", "best"):
+    if center in ("optimal", "best"):
+        method, c = "general", min_ball(ifs.fixed_points)[0].c
+    elif center == "arithmetic":
+        method, c = "general_arithmetic", _arithmetic_center(ifs)
+    elif center == "harmonic":
+        method, c = "general_harmonic", mean_centers(ifs)[1]
+    else:
         raise ValueError(f"unknown center strategy {center!r}")
-    # min keeps the first of equal radii, so ties go to the earlier candidate
-    method, c, rho = min(candidates(), key=lambda cand: cand[2])
-    return _report(ifs, Ball(c, scale * rho), method)
+    scale = mu_star(ifs) / (1.0 - ifs.lambda_star)
+    return _report(ifs, Ball(c, scale * radius_function(ifs, c)), method)
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +331,12 @@ def circumcircle(ifs: IfsSystem) -> BoundReport:
 def best_bounding_ball(ifs: IfsSystem) -> BoundReport:
     """Smallest available bounding ball: circumcircle when it exists, passes
     its containment check and beats the general ball, otherwise the general
-    ball at the best center.
+    ball at the smallest-circle center.
 
     Circumcircles apply to 2- and 3-map plane systems; everything else gets
     the general construction directly.
     """
-    general = general_bounding_ball(ifs, center="best")
+    general = general_bounding_ball(ifs)
     if ifs.dim != 2 or ifs.n not in (2, 3):
         return general
     try:
@@ -458,7 +443,8 @@ def tighten(
         raise ValueError(f"input ball is not a verified bounding ball (min slack {min(slack):.3e})")
     centers, factors = _word_tree_images(ifs, [b.c], levels, budget, factors=True)
     # a radius outside min_ball's range is refined scaled by 2^-e, which is
-    # exact, so no squared 3D distance overflows or underflows
+    # exact, so no squared 3D distance overflows or underflows; min_ball
+    # solves blocked images in this frame
     c = _coords(b.c).tolist()
     e, work = _exponent(b.r, max(map(abs, c))), b
     if e:

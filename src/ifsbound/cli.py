@@ -236,7 +236,7 @@ def _cmd_render(ifs: IfsSystem, args) -> None:
         raise ValueError("rendering is 2D only")
     pts = _sample_points(ifs, args)
     layers = [PointCloud(points=pts, radius_px=1.0)]
-    general = general_bounding_ball(ifs, center="best")
+    general = general_bounding_ball(ifs)
     layers.append(CircleOutline(ball=general.ball, color=GENERAL_COLOR))
     try:
         layers.append(CircleOutline(ball=circumcircle(ifs).ball, color=CIRCUM_COLOR))
@@ -293,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--center",
         choices=("optimal", "arithmetic", "harmonic", "best"),
         default="optimal",
-        help="center strategy for the general method",
+        help="center strategy for the general method (best: the smallest-circle center, as optimal)",
     )
 
     ball_options(command("verify", _cmd_verify, "check a ball's containment slack"), required=True)

@@ -10,16 +10,17 @@ center is kept if it covers every point more tightly).  A caller that knows
 a ball around each contiguous block of points, centered on its first point
 (``tighten`` does, for its word tree), can let the pass skip the blocks that
 cannot hold the farthest point (the culling of Hart and DeFanti, SIGGRAPH
-1991); the point found and its distance are the same floats.  Point sets of
-magnitude beyond 2^500 or below 2^-400 are solved scaled by a power of two,
-so no square overflows or underflows.
+1991); the point found and its distance are the same floats.  Point sets
+whose extent along an axis lies beyond 2^500 or below 2^-400 are solved
+scaled by a power of two, so no square overflows or underflows (a caller
+that gives blocks has scaled its points itself).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -43,7 +44,7 @@ class SupportSet:
 # a NumPy call costs more than a short loop
 _FLOATS_UP_TO = 64
 
-# magnitudes solved as given: no squared distance overflows, and none
+# spreads solved as given: no squared distance overflows, and none
 # underflows below the normal range (a spread of one ulp at 2^-400 squares
 # to 2^-904); outside it the points are scaled by a power of two, which is
 # exact
@@ -60,23 +61,36 @@ def _exponent(spread: float, size: float) -> int:
     return max(math.frexp(spread)[1], math.frexp(size)[1] - 1023)
 
 
-def _coordinates(points) -> tuple:
-    """Points as a ``(d, N)`` float array, one row per axis; the same
-    points to solve on, scaled by ``2**-e``; and the binary exponent ``e``
-    of :func:`_exponent`, the largest magnitude taken as the spread.  Array
-    input is read through a view, never copied (:func:`min_ball` copies the
-    rows for its passes unless given blocks)."""
+def _coordinates(points, framed: bool = False) -> tuple:
+    """Points as a ``(d, N)`` float array, one row per axis (a view of array
+    input); the points to solve on, scaled by ``2**-e``: up to 64 as float
+    triples (see :func:`_point`), more as a contiguous copy of the rows, and
+    ``framed`` ones (in a caller's frame) as the view, with ``e = 0``; and
+    the exponent ``e`` that :func:`_exponent` gives the largest half-extent
+    along an axis, measured on those rows, and the largest magnitude."""
     cols = _rows(points if isinstance(points, np.ndarray) else list(points)).T
-    if cols.shape[1] == 0:
+    count = cols.shape[1]
+    if count == 0:
         raise ValueError("min_ball needs at least one point")
     # two reductions without a temporary array: faster than np.isfinite
     # (ndarray methods: np.max and np.min cost microseconds of dispatch)
     hi, lo = float(cols.max()), float(cols.min())
     if not (hi < math.inf and lo > -math.inf):  # NaN fails both
         raise ValueError("non-finite coordinate")
-    m = max(hi, -lo)
-    e = _exponent(m, m)
-    return cols, np.ldexp(cols, -e) if e else cols, e
+    if framed:
+        return cols, cols, 0
+    size = max(hi, -lo)
+    # half-extents: a full extent of points near +-2^1024 overflows
+    if count <= _FLOATS_UP_TO:
+        rows = cols.tolist()
+        e = _exponent(max(max(r) / 2 - min(r) / 2 for r in rows), size)
+        if e:
+            rows = [[math.ldexp(x, -e) for x in r] for r in rows]
+        return cols, [(*p, 0.0)[:3] for p in zip(*rows)], e
+    # strided rows of a view cost the passes more than a copy
+    work = np.ascontiguousarray(cols)
+    e = _exponent(max(float(r.max()) / 2 - float(r.min()) / 2 for r in work), size)
+    return cols, np.ldexp(work, -e) if e else work, e
 
 
 def _ball(c, r: float, e: int, d: int) -> Ball:
@@ -218,32 +232,23 @@ def min_ball(points, *, _blocks=None) -> tuple:
     of radii that splits the points into equal contiguous blocks, each
     within its radius of its first point, only the first points and the
     blocks that can hold the farthest point; the result is the same either
-    way.  The passes read up to 64 points as Python floats,
-    more as one row per axis: a contiguous copy of the coordinates, or with
-    blocks a view of array input; each path forms the same correctly rounded
-    operations, so the result is the same bit for bit.
+    way.  The passes read up to 64 points as Python floats, more as one
+    row per axis: a contiguous copy of the coordinates, or with blocks a
+    view of array input, solved as given (``tighten`` has scaled it); each
+    path forms the same correctly rounded operations, so the result is the
+    same bit for bit.
     """
-    cols, work, e = _coordinates(points)
+    cols, work, e = _coordinates(points, _blocks is not None)
     d, count = cols.shape
-    if _blocks is None and count <= _FLOATS_UP_TO:
-        pts = [(*p, 0.0)[:3] for p in work.T.tolist()]  # see _point
-
-        def farthest(c):
-            return _farthest_floats(pts, c)
-
-        point = pts.__getitem__
+    if isinstance(work, list):
+        farthest, point = partial(_farthest_floats, work), work.__getitem__
     else:
-        if _blocks is None:  # strided rows of a view cost the passes more than a copy
-            work = np.ascontiguousarray(work)
-        elif e:
-            _blocks = np.ldexp(_blocks, -e)
         d2, tmp = np.empty((2, count))  # reused: fresh large arrays page-fault
 
         def farthest(c):
             return _farthest(work, c, d2, tmp, _blocks)
 
-        def point(i):
-            return _point(work, i)
+        point = partial(_point, work)
 
     support, c, r2 = [0], point(0), 0.0
     while True:
@@ -273,11 +278,10 @@ def ball_from_support(points) -> Ball:
     (3D) the circumball.  Degenerate inputs (collinear, coplanar) fall back
     to the smallest ball covering the points, so the function is total.
     """
-    cols, work, e = _coordinates(points)
+    cols, q, e = _coordinates(points)
     d, k = cols.shape
     if k > d + 1:
         raise ValueError(f"at most {d + 1} support points in {d}D, got {k}")
-    q = [_point(work, i) for i in range(k)]
     *_, (_, c, rank) = _centers(q, d)
     if rank < k - 1:
         return min_ball(cols.T)[0]

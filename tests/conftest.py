@@ -251,7 +251,8 @@ def min_ball_reference(points):
     view, and the ball and support points go through NumPy vectors.
     Returns (center coordinates, radius, support indices, support point
     coordinates)."""
-    cols, work, e = minball._coordinates(points)
+    cols, _, e = minball._coordinates(points)
+    work = np.ldexp(cols, -e)
     d = len(cols)
     d2, tmp = np.empty((2, cols.shape[1]))
     support, c, r2 = [0], minball._point(work, 0), 0.0

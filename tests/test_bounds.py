@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ifsbound import (
     Ball,
@@ -159,8 +159,22 @@ class TestGeneralBoundingBall:
         ifs = mixed_bifractal()
         assert general_bounding_ball(ifs, center="arithmetic").method == "general_arithmetic"
         assert general_bounding_ball(ifs, center="harmonic").method == "general_harmonic"
-        # all three centers are exactly 0.5: a tie keeps the first candidate
+        # best is the smallest-circle center, though all three are exactly 0.5
         assert general_bounding_ball(ifs, center="best").method == "general"
+
+    def test_best_is_the_optimal_center(self):
+        """``best`` is the smallest-circle center, field for field, also on
+        Sierpinski, where the arithmetic mean's ball is one ulp smaller."""
+        rng = np.random.default_rng(43)
+        systems = [sierpinski_ifs()] + [random_ifs_2d(rng) for _ in range(20)]
+        systems += [random_ifs_3d(rng) for _ in range(20)]
+        for ifs in systems:
+            best = general_bounding_ball(ifs, center="best")
+            optimal = general_bounding_ball(ifs, center="optimal")
+            assert np.asarray(best.ball.c).tobytes() == np.asarray(optimal.ball.c).tobytes()
+            assert best.ball.r == optimal.ball.r
+            fields = ("method", "slack", "lambda_star", "mu_star", "notes")
+            assert [getattr(best, f) for f in fields] == [getattr(optimal, f) for f in fields]
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
@@ -657,8 +671,8 @@ class TestBlockScan:
             assert self._check(ifs, base, 9)
 
     def test_tiny_images_of_a_unit_ball(self):
-        # the radius is in range but every word image lies below 2^-400:
-        # min_ball scales the points and the block radii by a power of two
+        # the radius is in range but every word image lies below 2^-400: the
+        # full scan is solved scaled by a power of two, the block scan as given
         maps = (Similitude2(p=0, phi=0.5j), Similitude2(p=1e-130, phi=0.5))
         assert self._check(IfsSystem(maps=maps), Ball(0, 1.0), 13)
 
@@ -769,6 +783,81 @@ class TestScaleEquivariance:
         _assert_scaled(general_bounding_ball(ifs).ball, base, k, 2)
         scaled_base = Ball(_point_of(np.ldexp(_coords(base.c), k).tolist()), math.ldexp(base.r, k))
         _assert_scaled(tighten(ifs, scaled_base, 6).ball, tighten(unit, base, 6).ball, k, 2)
+
+
+def _x_axis_system(maps, x):
+    """Maps ``(y, z, lam, angle)`` that turn about the x axis, with fixed
+    points ``(x, y, z)``: every word image keeps the x coordinate ``x``."""
+    return IfsSystem(
+        maps=tuple(
+            Similitude3.from_axis_angle(p=(x, y, z), lam=lam, axis=(1, 0, 0), angle=angle)
+            for y, z, lam, angle in maps
+        )
+    )
+
+
+def _rng5_systems():
+    """Five three-map systems: per map, (y, z) ~ U(-1, 1)^2, lam ~ U(0.3, 0.5)
+    and an angle ~ U(-3, 3), drawn in that order from ``default_rng(5)``."""
+    rng = np.random.default_rng(5)
+
+    def one_map():
+        y, z = rng.uniform(-1, 1, 2).tolist()
+        return y, z, float(rng.uniform(0.3, 0.5)), float(rng.uniform(-3, 3))
+
+    return [[one_map() for _ in range(3)] for _ in range(5)]
+
+
+_RNG5 = _rng5_systems()
+_X_AXIS_MAP = st.tuples(_GRID, _GRID, st.floats(0.2, 0.7), st.floats(-math.pi, math.pi))
+
+
+def _yz(ball):
+    """The y and z bits of a ball's center, and its radius."""
+    return ball.c[1:].tobytes(), ball.r
+
+
+class TestTranslationAlongAnAxis:
+    """Moved along the x axis, which every map turns about, a system's
+    balls keep their radii and the y and z of their centers, bit for bit:
+    no x difference is ever nonzero, and the scale is set by the points'
+    extent, not by their magnitude."""
+
+    @given(
+        maps=st.lists(_X_AXIS_MAP, min_size=2, max_size=4),
+        x=st.builds(math.ldexp, st.sampled_from([1.0, -1.0]), st.integers(-1000, 1000)),
+    )
+    @example(maps=_RNG5[0], x=1e200)
+    @example(maps=_RNG5[1], x=1e200)
+    @example(maps=_RNG5[2], x=1e200)
+    @example(maps=_RNG5[3], x=1e200)
+    @example(maps=_RNG5[4], x=1e200)
+    @settings(max_examples=40, deadline=None)
+    def test_balls_do_not_move_off_the_axis(self, maps, x):
+        results = []
+        for ifs in (_x_axis_system(maps, 0.0), _x_axis_system(maps, x)):
+            best = best_bounding_ball(ifs).ball
+            results.append(
+                [
+                    _yz(min_ball(ifs.fixed_points)[0]),
+                    _yz(general_bounding_ball(ifs).ball),
+                    _yz(best),
+                    _yz(tighten(ifs, best, 4).ball),
+                ]
+            )
+        assert results[0] == results[1]
+
+    def test_block_scans_refine_far_from_the_origin(self):
+        # 3^9 words: tighten's blocked min_ball; scaled by the magnitude
+        # 1e200, the unit y/z spread squared to 0 and the input was kept
+        for maps in _RNG5:
+            results = []
+            for ifs in (_x_axis_system(maps, 0.0), _x_axis_system(maps, 1e200)):
+                best = best_bounding_ball(ifs).ball
+                refined = tighten(ifs, best, 9)
+                assert refined.ball.r < best.r  # refined, not kept
+                results.append((_yz(best), _yz(refined.ball), refined.notes))
+            assert results[0] == results[1]
 
 
 class TestBlockRadii:

@@ -666,8 +666,8 @@ def test_overflow_is_one_error_line(dim, argv, tmp_path):
 )
 def test_huge_fixed_points_give_a_record(dim, argv, code, tmp_path):
     """Balls around the fixed points +-1.7e308 fit the float range: the
-    best center skips the overflowing harmonic one, the circumcircle falls
-    back, and 3D distances do not square out of range."""
+    smallest-circle center is solved scaled, the circumcircle falls back,
+    and 3D distances do not square out of range."""
     path = tmp_path / "huge.json"
     path.write_text(_huge_document(dim))
     result = _run_python(["-m", "ifsbound.cli", *argv, "--input", str(path)])
@@ -744,7 +744,7 @@ def test_3d_radii_scale_with_the_document(exponent, argv, digits, tmp_path, caps
     "argv", [["bound"], ["bound", "--method", "general", "--center", "best"]], ids=["bound", "best"]
 )
 def test_best_center_skips_an_overflowing_candidate(argv, tmp_path, capsys):
-    # the harmonic weights and the circumcircle overflow, the other centers do not
+    # the harmonic weights and the circumcircle overflow, the smallest-circle center does not
     path = tmp_path / "far.json"
     path.write_text(_far_document(2, 1e308))
     code = main([*argv, "--input", str(path)])
@@ -890,6 +890,46 @@ def test_warning_is_one_stderr_line(center, err, tmp_path):
     record = json.loads(out.getvalue(), parse_constant=lambda name: pytest.fail(name))
     assert record["center"] == [0.5, 0.5]
     assert stderr.getvalue() == err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bound"], ["tighten"], ["bound", "--method", "general", "--center", "best"]],
+    ids=["bound", "tighten", "best"],
+)
+def test_coincident_fixed_points_need_no_warning(argv, tmp_path):
+    # only an explicit --center harmonic computes the harmonic mean
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dimension": 2, "maps": [{"p": [0.5, 0.5], "phi": [0.5, 0]}] * 2}))
+    out, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--input", str(path)])
+    assert code == 0 and stderr.getvalue() == ""
+    assert json.loads(out.getvalue())["center"] == [0.5, 0.5]
+
+
+def test_spread_far_below_the_magnitude(tmp_path, capsys):
+    # unscaled, the y spread 2e-170 squares to 0 beside the x coordinate 1e-100
+    maps = [{"p": [1e-100, y, 0], "lambda": 0.5, "axis": [0, 0, 1], "angle": 0.0} for y in (1e-170, -1e-170)]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dimension": 3, "maps": maps}))
+    code = main(["bound", "--method", "general", "--center", "optimal", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    record = json.loads(captured.out)
+    assert record["center"] == [1e-100, 0, 0] and record["radius"] == 1e-170
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_unreadable_input_is_one_error_line(name, tmp_path, capsys):
+    path = tmp_path / name
+    code = main(["bound", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {path}: ")
 
 
 @pytest.mark.parametrize(

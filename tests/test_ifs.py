@@ -25,6 +25,7 @@ from ifsbound import (
     min_ball,
     tighten,
 )
+from ifsbound.rng import SplitMix64
 from conftest import cantor_ifs, sierpinski_ifs
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -386,8 +387,12 @@ _PLANE = IfsSystem(maps=(Similitude2(p=0, phi=0.5), Similitude2(p=1, phi=0.5)))
             "unknown method tag 'bogus'",
         ),
         (lambda: Similitude3(p=(0, 0, 0), lam=0.5, rot=np.eye(2)), "rotation must be a 3x3 matrix"),
+        (lambda: SplitMix64(1).index(0), "n must be positive"),
     ],
-    ids=["tighten_levels", "address_depth", "chaos_count", "chaos_burn_in", "report_method", "rotation_2x2"],
+    ids=[
+        "tighten_levels", "address_depth", "chaos_count", "chaos_burn_in", "report_method", "rotation_2x2",
+        "rng_index",
+    ],
 )
 def test_library_calls_name_their_invalid_input(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

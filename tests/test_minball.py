@@ -13,6 +13,7 @@ from ifsbound import (
     radius_function,
 )
 from ifsbound import minball
+from ifsbound.ifs import _point_of
 from conftest import _circumcenter_exact, as_vec, brute_min_ball, cantor_ifs
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -326,8 +327,9 @@ class TestArrayInput:
 
 
 class TestMagnitudeRange:
-    """Point sets of magnitude beyond about 2^+-500 are solved scaled by a
-    power of two, so squared distances neither overflow nor underflow."""
+    """Point sets whose extent along an axis lies beyond about 2^+-500 are
+    solved scaled by a power of two, so squared distances neither overflow
+    nor underflow."""
 
     def test_spread_beyond_square_range(self):
         ball, support = min_ball([1e155, -1e155, 0j])
@@ -346,6 +348,34 @@ class TestMagnitudeRange:
         pts = [2.0**-490, 2.0**-490 + 2.0**-542]
         for ball in (min_ball(pts)[0], ball_from_support(pts)):
             assert ball.r > 0.0 and all(abs(p - ball.c) <= ball.r for p in pts)
+
+    @pytest.mark.parametrize("form", ["complex", "pairs", "triples"])
+    @pytest.mark.parametrize(
+        "pair, radius",
+        [
+            (((1.0, 0.0), (1.0, 1e-200)), 5e-201),
+            (((1e-100, 1e-170), (1e-100, -1e-170)), 1e-170),
+            (((1e200, 1e-170), (1e200, -1e-170)), 1e-170),
+            (((1.7e308, 0.0), (-1.7e308, 0.0)), 1.7e308),
+        ],
+    )
+    def test_spread_sets_the_scale(self, pair, radius, form):
+        """The scale comes from the extent along an axis, not from the
+        largest magnitude: a spread far below it keeps its radius, and a
+        full extent of 3.4e308 does not overflow."""
+        pts = {
+            "complex": [complex(*p) for p in pair],
+            "pairs": list(pair),
+            "triples": [(*p, 0.0) for p in pair],
+        }[form]
+        ball, support = min_ball(pts)
+        assert ball.r == radius and support.indices == (0, 1)
+        for p in pair:
+            assert dist(_point_of((*p, 0.0) if form == "triples" else p), ball.c) <= ball.r
+
+    def test_support_pair_far_below_its_magnitude(self):
+        ball = ball_from_support([(1.0, 0.0), (1.0, 1e-200)])
+        assert ball.c == 1 + 5e-201j and ball.r == 5e-201
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("exponent", [600, -600])

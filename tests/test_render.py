@@ -70,6 +70,17 @@ class TestAutoViewport:
         grow = (ymax - ymin) * 2.0 - (xmax - xmin)
         assert (vp.xmin, vp.ymin, vp.xmax, vp.ymax) == (xmin - grow / 2, ymin, xmax + grow / 2, ymax)
 
+    def test_label_counts_as_a_point(self):
+        scene = Scene(layers=(Label("x", 0.2 + 0.4j), CircleOutline(ball=Ball(0.5 + 0.5j, 0.1))))
+        vp = auto_viewport(scene, margin=0.0)
+        assert (vp.xmin, vp.ymin, vp.xmax, vp.ymax) == (0.2, 0.30000000000000004, 0.6, 0.7)
+
+    def test_empty_point_cloud_has_no_extent(self):
+        circle = CircleOutline(ball=Ball(0.5 + 0.5j, 0.1))
+        scene = Scene(layers=(PointCloud(points=()), circle))
+        assert auto_viewport(scene) == auto_viewport(Scene(layers=(circle,)))
+        assert '<g fill="#202020">\n</g>' in emit(scene)
+
     def test_degenerate_single_point_padded(self):
         scene = Scene(layers=(PointCloud(points=(0.3 + 0.3j,)),))
         vp = auto_viewport(scene, margin=0.0)
@@ -119,6 +130,20 @@ class TestEmit:
             viewport=Viewport(0, 0, 1, 1),
         )
         assert "<line " not in emit(scene)
+
+    def test_reversed_line_swaps_its_ends(self):
+        def line_element(u):
+            scene = Scene(
+                layers=(LineSegment(line=Line(0.5 + 0.5j, u)),),
+                canvas=(200, 200),
+                viewport=Viewport(0, 0, 1, 1),
+            )
+            (element,) = [s for s in emit(scene).splitlines() if s.startswith("<line ")]
+            return element
+
+        stroke = 'stroke="#444444" stroke-width="1"/>'
+        assert line_element(1 + 1j) == f'<line x1="0" y1="200" x2="200" y2="0" {stroke}'
+        assert line_element(-1 - 1j) == f'<line x1="200" y1="0" x2="0" y2="200" {stroke}'
 
     def test_sierpinski_scene_containment_in_pixels(self):
         ifs = sierpinski_ifs()
