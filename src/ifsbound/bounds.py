@@ -33,6 +33,7 @@ from .ifs import (
     IfsSystem,
     DEFAULT_NODE_BUDGET,
     dist,
+    _allowance,
     _coords,
     _rows,
     _word_tree_images,
@@ -392,16 +393,12 @@ def _blocks(ifs, b, slack, levels, factors):
     # B(c, grow) maps into itself under every map (it makes every slack
     # nonnegative), so it holds every exact T_u(c): a block lies within
     # 2 * lambda_v * grow of its first word.  It holds every exact word
-    # image and fixed point too, so span = |c| + grow bounds their size.
-    # One tree level rounds off at most ~8 ulps of span in 3D (a 3-term dot
-    # product, a scale and two adds; less in 2D), and a word and its block's
-    # first word each meet L levels; the distances and comparisons add a
-    # few ulps of span, the factor products and their division by lam_1**m
-    # a few ulps of b.r and grow.  The allowance covers all of them several
-    # times over; an inf or NaN radius only keeps its block.
+    # image and fixed point too, so span = |c| + grow bounds their size; a
+    # word and its block's first word each round off L levels, lams_v's
+    # division a few ulps more.  An inf or NaN radius only keeps its block.
     grow = b.r - min(s / (1.0 - mm.lam) for s, mm in zip(slack, ifs.maps))
     span = float(np.abs(_coords(b.c)).sum()) + grow
-    allowance = 64 * (levels + 1) * 2.0**-52 * (span + b.r)
+    allowance = _allowance(levels, span + b.r)
     lams_v = factors[:: n**m] / ifs.maps[0].lam ** m
     return m, lams_v, 2.0 * grow * lams_v + allowance
 

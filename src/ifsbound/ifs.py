@@ -438,6 +438,16 @@ def apply_word(ifs: IfsSystem, word: Iterable[int], z: Point):
     return z, factor
 
 
+def _allowance(levels: int, size: float) -> float:
+    """Rounding allowance of a map-tree node ``levels`` deep whose images,
+    fixed points and query points are at most ``size``.  A tree level rounds
+    off at most ~8 ulps of size in 3D (a 3-term dot product, a scale and two
+    adds; less in 2D); the distances, comparisons and factor products add a
+    few more.  64 ulps a level covers them all several times over, as a
+    static error filter (Shewchuk, DCG 1997)."""
+    return 64 * (levels + 1) * 2.0**-52 * size
+
+
 def _word_tree_images(ifs: IfsSystem, starts, levels: int, budget: int, factors: bool = False):
     """Images of the points ``starts`` under all depth-``levels``
     compositions, map-major: block ``k`` of a level is map ``k+1`` applied

@@ -1,12 +1,12 @@
 """Numerical fractal-line intersection by bounding-ball subdivision.
 
 Starting from a verified bounding ball, the attractor is refined breadth
-first through the map images; subtrees whose ball misses the line are
-pruned exactly, and surviving balls of radius at most ``eps`` emit the
-parameter interval of their chord on the line, widened by ``eps``.  The
-merged interval list covers every attractor point on the line, and each
-interval witnesses a leaf ball intersecting the line whose attractor part
-passes within ``2*eps`` of it.
+first through the map images; a subtree is pruned when its ball misses the
+line by more than the rounding allowance, and surviving balls of radius at
+most ``eps``, grown by the allowance, emit their chord on the line widened
+by ``eps``.  The merged interval list covers every attractor point on the
+line, and each interval witnesses a leaf ball whose attractor part passes
+within ``2*eps`` of the line, plus the allowance.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .ifs import (
     Ball,
     IfsSystem,
     DEFAULT_NODE_BUDGET,
+    _allowance,
     _as_direction,
     _as_point,
     _coords,
@@ -91,15 +92,6 @@ def line_ball_distance(line: Line, b: Ball) -> float:
     return max(0.0, line.distance(b.c) - b.r)
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched ``a @ b`` as multiply-adds in index order, without BLAS, so a
-    plane product repeats Python's complex multiply bit for bit."""
-    out = a[..., :, :1] * b[..., :1, :]
-    for k in range(1, a.shape[-1]):
-        out += a[..., :, k : k + 1] * b[..., k : k + 1, :]
-    return out
-
-
 def _merge(t_lo: np.ndarray, t_hi: np.ndarray, words: list) -> tuple:
     """Merge overlapping intervals, given in emission order with ``words``
     holding one word array per emitted block; each merged hit keeps the word
@@ -134,7 +126,9 @@ def intersect_line(
     the bounds module produces).  Subdivision is breadth first so that a
     budget cutoff corresponds to one uniform resolution level; on cutoff
     the surviving frontier is emitted as-is and the result is flagged
-    truncated, preserving completeness at lower resolution.
+    truncated, preserving completeness at lower resolution.  Nodes are kept,
+    and chords taken, up to the rounding allowance ``tighten`` uses, so a
+    line tangent to ``bound`` where the attractor touches it keeps that hit.
     """
     if not eps > 0.0:  # also rejects NaN
         raise ValueError("eps must be positive")
@@ -147,43 +141,46 @@ def intersect_line(
         raise ValueError(f"bound is not a verified bounding ball (min slack {min(slack):.3e})")
 
     # The frontier holds one level of nodes, each with its composed map
-    # T_w(z) = shift + lin @ z and its word.  Children extend the word on the
-    # right: the child ball T_w(T_k(B)) nests inside the parent ball T_w(B)
-    # because T_k(B) is inside B, which is what makes pruning a node discard
-    # exactly its own subtree of the attractor.  A plane factor phi acts as
-    # the matrix [[re, -im], [im, re]].
+    # T_w(z) = shift + lin @ z, its factor and its word.  Children extend the
+    # word on the right: the child ball T_w(T_k(B)) nests inside T_w(B)
+    # because T_k(B) is inside B, so pruning a node discards exactly its own
+    # subtree.  A plane phi acts as [[re, -im], [im, re]].  The nodes lie in
+    # B and their foot points within |c - a| + r of a: size bounds them all.
     n, dim = ifs.n, ifs.dim
     if dim == 2:
-        lins = np.array([[[m.phi.real, -m.phi.imag], [m.phi.imag, m.phi.real]]
-                         for m in ifs.maps])
+        lins = np.array([[[m.phi.real, -m.phi.imag], [m.phi.imag, m.phi.real]] for m in ifs.maps])
     else:
         lins = np.array([m.lam * m.rot for m in ifs.maps])
-    offsets = _mul(np.eye(dim) - lins, _rows(ifs.fixed_points)[..., None])
-    c, a, u = _coords(bound.c)[:, None], _coords(line.a), _coords(line.u)
+    lams = np.array([m.lam for m in ifs.maps])
+    offsets = (np.eye(dim) - lins) @ _rows(ifs.fixed_points)[..., None]
+    c, a, u = _coords(bound.c), _coords(line.a), _coords(line.u)
+    size = float(np.abs(c).sum() + np.abs(a).sum()) + 2.0 * bound.r
     keys = np.arange(1, n + 1, dtype=np.min_scalar_type(n))
-    shift, lin, words = np.zeros((1, dim)), np.eye(dim)[None], np.empty((1, 0), keys.dtype)
+    shift, lin, factor, words = np.zeros((1, dim)), np.eye(dim)[None], np.ones(1), keys[None, :0]
     kept, emitted = [], []  # per level: the (t0, gap, radius) rows and words of emitted nodes
     visited = 1
     while True:
-        center = shift + _mul(lin, c)[..., 0]
-        radius = np.hypot.reduce(lin[:, :, 0], axis=1) * bound.r
-        t0 = _mul((center - a)[:, None], u[:, None])[:, 0, 0]
+        allow = _allowance(words.shape[1], size)
+        center = shift + lin @ c
+        radius = factor * bound.r
+        t0 = (center - a) @ u
         gap = np.hypot.reduce(center - (a + t0[:, None] * u), axis=1)
-        hit = gap - radius <= 0.0
+        hit = gap - radius <= allow
         pending = hit & (radius > eps)
         count = int(np.count_nonzero(pending))
         truncated = visited + n * count > budget
         keep = hit & ~pending
         if truncated:  # leaves first, then the unexpanded nodes of this level
             keep = np.concatenate((np.flatnonzero(keep), np.flatnonzero(pending)))
-        kept.append(np.array((t0, gap, radius))[:, keep])
+        kept.append(np.array((t0, gap, radius + allow))[:, keep])
         emitted.append(words[keep])
         if not count or truncated:
             break
         visited += n * count
         lin = lin[pending, None]
-        shift = (shift[pending, None] + _mul(lin, offsets)[..., 0]).reshape(-1, dim)
-        lin = _mul(lin, lins).reshape(-1, dim, dim)
+        shift = (shift[pending, None] + (lin @ offsets)[..., 0]).reshape(-1, dim)
+        lin = (lin @ lins).reshape(-1, dim, dim)
+        factor = (factor[pending, None] * lams).ravel()
         words = np.column_stack((np.repeat(words[pending], n, axis=0), np.tile(keys, count)))
     t0, gap, radius = np.concatenate(kept, axis=1)
     h = np.sqrt(np.maximum(0.0, radius * radius - gap * gap))

@@ -50,6 +50,17 @@ COLLINEAR_TRI_DOC = json.dumps(
 )
 
 
+TRI_DOC = json.dumps(
+    {
+        "dimension": 2,
+        "maps": [
+            {"p": [0, 0], "phi": [0.4, 0]},
+            {"p": [1, 0], "phi": [0.4, 0]},
+            {"p": [0.25, 0.75], "phi": [0.4, 0]},
+        ],
+    }
+)
+
 @pytest.fixture
 def cantor_file(tmp_path):
     path = tmp_path / "cantor.json"
@@ -293,6 +304,17 @@ class TestCliCommands:
         record = json.loads(capsys.readouterr().out)
         assert code == 0
         assert record["intervals"] == []
+
+    @pytest.mark.parametrize("line", [["1", "0", "1", "2"], ["0.25", "0.75", "-2", "-1"]])
+    def test_intersect_tangent_at_a_fixed_point(self, line, tmp_path, capsys):
+        # the line touches the default circumcircle at a fixed point (t = 0)
+        path = tmp_path / "tri.json"
+        path.write_text(TRI_DOC)
+        code = main(["intersect", "--input", str(path), "--line", *line, "--eps", "1e-6"])
+        record = json.loads(capsys.readouterr().out)
+        assert code == 0
+        [(lo, hi)] = record["intervals"]
+        assert lo <= 0.0 <= hi
 
     def test_sample_depth(self, cantor_file, capsys):
         code = main(["sample", "--input", cantor_file, "--depth", "1"])

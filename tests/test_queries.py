@@ -264,6 +264,75 @@ class TestIntersectProperties:
         assert covered(line.project(target), result.intervals, slop=1e-3)
 
 
+def _tangent_probe(rng, dim, n):
+    """A system of factor 1/2 without rotation whose first fixed point ``p``
+    lies on the verified ball ``B(c, r)``, ``r`` being its distance from
+    ``c``, the others at ``r/2`` from ``c``, and a direction tangent to the
+    ball at ``p``: the line through ``p`` touches the ball, and so the
+    attractor, only at ``p``."""
+    def on_sphere(center, radius):
+        v = rng.normal(size=dim)
+        return center + radius * v / np.linalg.norm(v)
+
+    c = rng.uniform(-1.0, 1.0, size=dim)
+    p = on_sphere(c, rng.uniform(0.5, 2.0))
+    r = float(np.linalg.norm(p - c))
+    points = [p] + [on_sphere(c, r / 2) for _ in range(n - 1)]
+    if dim == 2:
+        maps = [Similitude2(p=complex(*q), phi=0.5) for q in points]
+        return IfsSystem(maps=tuple(maps)), Ball(complex(*c), r), maps[0].p, 1j * (maps[0].p - complex(*c))
+    maps = [Similitude3(p=q, lam=0.5, rot=np.eye(3)) for q in points]
+    return IfsSystem(maps=tuple(maps)), Ball(c, r), maps[0].p, np.cross(p - c, rng.normal(size=3))
+
+
+def _tangent_misses(dim, eps, queries, shift=0.0, seed=0):
+    """Tangent probes whose answer has no interval holding the parameter of
+    the touching fixed point; ``shift`` moves the anchor along the line."""
+    rng = np.random.default_rng(seed)
+    misses = 0
+    for _ in range(queries):
+        ifs, bound, p, u = _tangent_probe(rng, dim, 3 if dim == 2 else int(rng.integers(2, 5)))
+        line = Line(p, u)
+        line = Line(line.at(shift), line.u)
+        result = intersect_line(ifs, line, eps, bound=bound)
+        misses += not covered(line.project(p), result.intervals)
+    return misses
+
+
+class TestTangentHits:
+    """A line tangent to the bound at a fixed point meets the attractor
+    there: the rounding allowance keeps that node, at every resolution."""
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+    def test_plane_tangent_at_a_fixed_point(self, eps):
+        assert _tangent_misses(2, eps, 200) == 0
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+    def test_space_tangent_at_a_fixed_point(self, eps):
+        assert _tangent_misses(3, eps, 100) == 0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("shift", [1e3, 1e6])
+    def test_far_anchor(self, dim, shift):
+        assert _tangent_misses(dim, 1e-6, 100, shift=shift) == 0
+
+    def test_default_bound_touches_the_fixed_points(self):
+        # without rotation the trifractal circumcircle passes through every
+        # fixed point, so the tangent there meets the attractor at t = 0
+        rng = np.random.default_rng(76)
+        misses, systems = 0, 0
+        while systems < 25:
+            ifs = random_ifs_2d(rng, n=3, lam_range=(0.1, 0.5), rotations=False)
+            report = best_bounding_ball(ifs)
+            if report.method != "circum_tri":
+                continue
+            systems += 1
+            for m in ifs.maps:
+                result = intersect_line(ifs, Line(m.p, 1j * (m.p - report.ball.c)), 1e-6)
+                misses += not covered(0.0, result.intervals)
+        assert misses == 0
+
+
 _BALL_3D = Ball((0.5, 0.0, 0.0), 1.0)
 
 
