@@ -39,20 +39,26 @@ from .bounds import (
     tighten,
     verify_containment,
 )
-from .queries import HitInterval, Line, LineIntersection, intersect_line, line_ball_distance
-from .render import (
-    CIRCUM_COLOR,
-    GENERAL_COLOR,
-    CircleOutline,
-    Label,
-    LineSegment,
-    PointCloud,
-    Scene,
-    Viewport,
-    auto_viewport,
-    canvas_transform,
-    emit,
-)
+
+
+def __getattr__(name):
+    """Load ``queries`` and ``render`` on first use (PEP 562): most CLI calls
+    need neither, and each costs a few ms to compile and run per process."""
+    if name in ("queries", "render"):
+        __import__(f"{__name__}.{name}")  # binds it here; -X importtime lists it
+        return globals()[name]
+    if name not in __all__:  # the rest of __all__ is bound above
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = __getattr__("queries")
+    if not hasattr(home, name):
+        home = __getattr__("render")  # which imports queries anyway
+    value = globals()[name] = getattr(home, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, "queries", "render"})
+
 
 __version__ = "0.1.0"
 

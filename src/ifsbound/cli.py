@@ -9,12 +9,14 @@ are radians.
 Data records are emitted on stdout as a single JSON object with numbers at
 12 significant digits; diagnostics go to stderr only.  Exit codes: 0 on
 success, 1 on domain errors (failed verification, collinear circumcircle,
-budget exhaustion), 2 on usage or document errors.
+budget exhaustion), 2 on usage or document errors.  ``run``, the process
+entry, is ``main`` followed by an exit without the final garbage collections.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -47,16 +49,29 @@ from .bounds import (
     tighten,
     verify_containment,  # noqa: F401  (a lookup site bench/tracer.py wraps)
 )
-from .queries import Line, intersect_line
-from .render import (
-    CIRCUM_COLOR,
-    GENERAL_COLOR,
-    CircleOutline,
-    LineSegment,
-    PointCloud,
-    Scene,
-    emit,
-)
+
+# Names of the line-query and SVG modules, bound here on first use: only
+# ``intersect`` and ``render`` need them.
+_ON_DEMAND = {
+    "queries": ("Line", "intersect_line"),
+    "render": ("CIRCUM_COLOR", "GENERAL_COLOR", "CircleOutline", "LineSegment", "PointCloud", "Scene", "emit"),
+}
+
+
+def _load(module: str) -> None:
+    """Bind the names of ``module`` here, keeping any name bound earlier
+    (``bench/tracer.py`` binds its wrappers in their place)."""
+    home = getattr(sys.modules[__package__], module)  # imported on first use
+    for name in _ON_DEMAND[module]:
+        globals().setdefault(name, getattr(home, name))
+
+
+def __getattr__(name):
+    for module, names in _ON_DEMAND.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class NonFiniteRecordError(ValueError):
@@ -166,6 +181,7 @@ def _ball_from_args(ifs: IfsSystem, args) -> Ball:
 
 
 def _line_from_args(values) -> Line:
+    _load("queries")
     ax, ay, ux, uy = values
     try:
         return Line(complex(ax, ay), complex(ux, uy))
@@ -215,6 +231,7 @@ def _cmd_tighten(ifs: IfsSystem, args) -> dict:
 def _cmd_intersect(ifs: IfsSystem, args) -> dict:
     if ifs.dim != 2:
         raise ValueError("the CLI line query is 2D only")
+    _load("queries")
     _require(
         math.isfinite(args.eps) and args.eps > 0.0, "--eps must be a finite number > 0"
     )
@@ -234,6 +251,7 @@ def _cmd_sample(ifs: IfsSystem, args) -> dict:
 def _cmd_render(ifs: IfsSystem, args) -> None:
     if ifs.dim != 2:
         raise ValueError("rendering is 2D only")
+    _load("render")
     pts = _sample_points(ifs, args)
     layers = [PointCloud(points=pts, radius_px=1.0)]
     general = general_bounding_ball(ifs)
@@ -350,5 +368,13 @@ def main(argv=None) -> int:
     return 0 if (record or {}).get("contained", True) else 1
 
 
+def run() -> None:
+    """``main`` as a process: frozen objects are skipped by the collections
+    at exit, and streams, atexit handlers and module teardown are as usual."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

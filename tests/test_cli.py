@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -614,8 +615,8 @@ def _run_python(args):
 def test_library_import_leaves_cli_unloaded():
     probe = (
         "import sys, ifsbound; "
-        "print([m for m in ('ifsbound.cli', 'argparse', 'xml.sax.saxutils', "
-        "'urllib.request') if m in sys.modules])"
+        "print([m for m in ('ifsbound.cli', 'ifsbound.queries', 'ifsbound.render', "
+        "'argparse', 'xml.sax.saxutils', 'urllib.request') if m in sys.modules])"
     )
     result = _run_python(["-c", probe])
     assert result.returncode == 0, result.stderr
@@ -628,6 +629,165 @@ def test_module_entry_point_writes_one_error_line(tmp_path):
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot read")
+
+
+# runs ``python -m ifsbound.cli ARGS`` in this process, then reports on stderr
+# which on-demand modules it loaded and whether the process entry froze the heap
+_ENTRY_PROBE = """
+import gc, runpy, sys
+try:
+    runpy.run_module("ifsbound.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+loaded = [m for m in ("ifsbound.queries", "ifsbound.render") if m in sys.modules]
+print(code, loaded, gc.get_freeze_count() > 0, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["bound"], []),
+        (["verify", "--center", "0.4", "0.3", "--radius", "1"], []),
+        (["tighten", "--levels", "2"], []),
+        (["sample", "--depth", "2"], []),
+        (["intersect", "--line", "0", "0", "1", "0"], ["ifsbound.queries"]),
+        (["render", "--out", "OUT", "--count", "50"], ["ifsbound.queries", "ifsbound.render"]),
+    ],
+    ids=["bound", "verify", "tighten", "sample", "intersect", "render"],
+)
+def test_subcommands_load_only_the_modules_they_use(argv, loaded, tmp_path):
+    path = tmp_path / "tri.json"
+    path.write_text(TRI_DOC)
+    argv = [str(tmp_path / "out.svg") if a == "OUT" else a for a in argv]
+    result = _run_python(["-c", _ENTRY_PROBE, *argv, "--input", str(path)])
+    assert result.stderr.splitlines()[-1] == f"0 {loaded} True"
+
+
+_LIBRARY_PROBES = {
+    # resolved before any submodule is imported by name
+    "all_names": """
+import importlib, ifsbound
+values = {name: getattr(ifsbound, name) for name in ifsbound.__all__}
+homes = [importlib.import_module(f"ifsbound.{m}") for m in ("ifs", "minball", "bounds", "queries", "render")]
+for name, value in values.items():
+    defining = [getattr(home, name) for home in homes if hasattr(home, name)]
+    assert defining and all(value is v for v in defining), name
+""",
+    "star_import": """
+import ifsbound
+namespace = {}
+exec("from ifsbound import *", namespace)
+assert set(ifsbound.__all__) <= set(namespace), set(ifsbound.__all__) - set(namespace)
+""",
+    "dir": """
+import ifsbound
+assert {*ifsbound.__all__, "queries", "render"} <= set(dir(ifsbound))
+""",
+    "submodules": """
+import sys, ifsbound
+assert ifsbound.queries is sys.modules["ifsbound.queries"]
+assert ifsbound.render is sys.modules["ifsbound.render"]
+assert ifsbound.render.Scene is ifsbound.Scene and ifsbound.queries.Line is ifsbound.Line
+""",
+    "unknown_name": """
+import ifsbound, ifsbound.cli
+for module in (ifsbound, ifsbound.cli):
+    try:
+        module.no_such_name
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError(module)
+""",
+}
+
+
+@pytest.mark.parametrize("probe", list(_LIBRARY_PROBES))
+def test_on_demand_names_resolve_in_a_fresh_process(probe):
+    result = _run_python(["-c", _LIBRARY_PROBES[probe]])
+    assert result.returncode == 0, result.stderr
+
+
+def test_cli_lookups_keep_names_bound_from_outside(tmp_path):
+    # bench/tracer.py reads cli.intersect_line and cli.emit before any call
+    # and binds wrappers there; the commands must call those wrappers
+    probe = """
+import contextlib, io, sys
+import ifsbound.cli as cli
+doc, out = sys.argv[1:]
+calls = []
+for name in ("intersect_line", "emit"):
+    def wrapper(*args, _original=getattr(cli, name), _name=name, **kwargs):
+        calls.append(_name)
+        return _original(*args, **kwargs)
+    setattr(cli, name, wrapper)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cli.main(["intersect", "--input", doc, "--line", "0", "0", "1", "0"]),
+        cli.main(["render", "--input", doc, "--out", out, "--count", "50"]),
+    ]
+print(codes, calls)
+"""
+    path = tmp_path / "tri.json"
+    path.write_text(TRI_DOC)
+    result = _run_python(["-c", probe, str(path), str(tmp_path / "out.svg")])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[0, 0] ['intersect_line', 'emit']"
+
+
+def test_entry_verify_not_contained_writes_a_whole_record(tmp_path):
+    path = tmp_path / "tri.json"
+    path.write_text(TRI_DOC)
+    result = _run_python(
+        ["-m", "ifsbound.cli", "verify", "--input", str(path), "--center", "0.4", "0.3", "--radius", "0.1"]
+    )
+    assert result.returncode == 1 and result.stderr == ""
+    assert result.stdout.endswith("}\n")
+    record = json.loads(result.stdout, parse_constant=lambda name: pytest.fail(name))
+    assert record["contained"] is False and record["radius"] == 0.1
+
+
+def test_entry_render_writes_well_formed_svg(tmp_path):
+    import xml.etree.ElementTree as ET
+
+    path, out = tmp_path / "tri.json", tmp_path / "out.svg"
+    path.write_text(TRI_DOC)
+    result = _run_python(
+        ["-m", "ifsbound.cli", "render", "--input", str(path), "--out", str(out), "--count", "50"]
+    )
+    assert result.returncode == 0 and result.stdout == "" and result.stderr == ""
+    root = ET.parse(out).getroot()
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    assert len(root.findall(".//{http://www.w3.org/2000/svg}circle")) == 50 + 2
+
+
+def test_entry_fallback_warning_is_one_line(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dimension": 2, "maps": [{"p": [0.5, 0.5], "phi": [0.5, 0]}] * 2}))
+    result = _run_python(
+        ["-m", "ifsbound.cli", "bound", "--method", "general", "--center", "harmonic", "--input", str(path)]
+    )
+    assert result.returncode == 0
+    assert result.stderr == (
+        "warning: coincident fixed points: harmonic mean center undefined, "
+        "falling back to the arithmetic mean\n"
+    )
+    assert json.loads(result.stdout)["center"] == [0.5, 0.5]
+
+
+def test_main_leaves_the_heap_unfrozen(cantor_file, capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["bound", "--input", cantor_file]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["ifsbound"]
+    assert target == "ifsbound.cli:run"
 
 
 def _huge_document(dim) -> str:
