@@ -41,19 +41,31 @@ from .bounds import (
 )
 
 
-def __getattr__(name):
-    """Load ``queries`` and ``render`` on first use (PEP 562): most CLI calls
-    need neither, and each costs a few ms to compile and run per process."""
+def _bind(namespace: dict, module: str) -> None:
+    """Import ``queries`` or ``render`` and bind into ``namespace`` each name
+    of ``__all__`` it holds, keeping a name bound earlier (``bench/tracer.py``
+    sets its wrappers on ``cli`` so).  A lookup tries ``queries`` first, so
+    only ``cli._load("render")`` leaves ``queries`` unloaded."""
+    home = getattr(__import__(f"{__name__}.{module}"), module)  # -X importtime lists __import__
+    for name in __all__:
+        if hasattr(home, name):
+            namespace.setdefault(name, getattr(home, name))
+
+
+def _lookup(namespace: dict, name: str):
+    """PEP 562: ``queries``, ``render`` and their names load on first use."""
     if name in ("queries", "render"):
-        __import__(f"{__name__}.{name}")  # binds it here; -X importtime lists it
-        return globals()[name]
-    if name not in __all__:  # the rest of __all__ is bound above
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    home = __getattr__("queries")
-    if not hasattr(home, name):
-        home = __getattr__("render")  # which imports queries anyway
-    value = globals()[name] = getattr(home, name)
-    return value
+        return getattr(__import__(f"{__name__}.{name}"), name)
+    if name in __all__:
+        for module in ("queries", "render"):
+            _bind(namespace, module)
+            if name in namespace:
+                return namespace[name]
+    raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+
+
+def __getattr__(name):
+    return _lookup(globals(), name)
 
 
 def __dir__():

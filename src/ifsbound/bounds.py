@@ -12,6 +12,9 @@ iterative tightener:
 * the bifractal circumcircle (two maps, plane): the unique fixed circle of
   the outer-tangential-circle transformation ``M``, in closed form.
 
+Both closed forms are solved at a safe scale: fixed points below 2^-300
+are scaled up by a power of two first, which is exact.
+
 Containment is certified through per-map slack values
 ``s_k = (1 - lam_k) * r - mu_k * |c - p_k|`` with ``mu_k = |1 - phi_k|`` in
 the plane and ``mu_k = ||I - lam_k R_k||`` (spectral norm) in space: if all
@@ -57,7 +60,9 @@ class CircumcircleError(ValueError):
 
 
 def containment_tol(r: float) -> float:
-    """Relative tolerance used by every containment check in the library."""
+    """Tolerance of every containment check in the library: a slack down to
+    ``-1e-9 * (1 + r)`` passes.  It is never below 1e-9 absolute, so for a
+    ball far smaller than that it is no proof of containment."""
     return CONTAINMENT_RTOL * (1.0 + r)
 
 
@@ -193,16 +198,26 @@ def _require_plane(ifs: IfsSystem, n: int, name: str) -> None:
         raise ValueError(f"{name} needs a 2D system with exactly {n} maps")
 
 
+# fixed points whose coordinates all lie below this are solved scaled up by a
+# power of two, which is exact: the trifractal form cubes coordinates, and
+# unscaled it already loses bits to underflow at 2^-340
+_CUBE_SAFE = 2.0**-300
+
+
 def _circle_report(ifs: IfsSystem, method: str, solve) -> BoundReport:
-    """The report of the circumcircle ``(c, r) = solve()``, a closed form;
-    one that overflows the float range is not available."""
+    """The report of the circumcircle ``(c, r) = solve(*fixed_points)``, a
+    closed form, solved at a safe scale; one that overflows the float range
+    is not available."""
+    pts = ifs.fixed_points
+    size = max(max(abs(p.real), abs(p.imag)) for p in pts)
+    e = math.frexp(size)[1] if size < _CUBE_SAFE else 0
     try:  # Python's float ** and complex abs raise OverflowError, not inf
-        c, r = solve()
+        c, r = solve(*(complex(math.ldexp(p.real, -e), math.ldexp(p.imag, -e)) for p in pts))
         if not (math.isfinite(r) and cmath.isfinite(c)):
             raise OverflowError
     except OverflowError:
         raise CircumcircleError("the circumcircle overflows the float range") from None
-    return _report(ifs, Ball(c, r), method)
+    return _report(ifs, _ball([c.real, c.imag], r, e, 2), method)
 
 
 def _cross(z1: complex, z2: complex) -> float:
@@ -224,14 +239,12 @@ def circumcircle_trifractal(ifs: IfsSystem) -> BoundReport:
     to the general bounding ball, as does a closed form that overflows.
     """
     _require_plane(ifs, 3, "circumcircle_trifractal")
-    p1, p2, p3 = ifs.fixed_points
     a1, a2, a3 = ((1.0 - m.lam) / m.mu for m in ifs.maps)
 
-    big_c = 2.0 * _cross(p2 - p1, p2 - p3)
-    if big_c == 0.0:
-        raise CircumcircleError("collinear fixed points: no circumcircle")
-
-    def solve():
+    def solve(p1, p2, p3):
+        big_c = 2.0 * _cross(p2 - p1, p2 - p3)
+        if big_c == 0.0:
+            raise CircumcircleError("collinear fixed points: no circumcircle")
         big_a = (a3**2 - a2**2) * p1 + (a1**2 - a3**2) * p2 + (a2**2 - a1**2) * p3
         big_b = (
             (abs(p2) ** 2 - abs(p3) ** 2) * p1
@@ -295,11 +308,10 @@ def circumcircle_bifractal(ifs: IfsSystem) -> BoundReport:
     """
     _require_plane(ifs, 2, "circumcircle_bifractal")
     m1, m2 = ifs.maps
-    p1, p2 = m1.p, m2.p
-    if p1 == p2:
+    if m1.p == m2.p:
         return _report(
             ifs,
-            Ball(p1, 0.0),
+            Ball(m1.p, 0.0),
             "circum_bi",
             notes=("degenerate: coincident fixed points, attractor is a single point",),
         )
@@ -307,12 +319,10 @@ def circumcircle_bifractal(ifs: IfsSystem) -> BoundReport:
     nu = (m2.lam - m1.lam) / (2.0 * (1.0 - lam))
     w1 = (1.0 - nu) * (1.0 - m1.phi)
     w2 = (1.0 + nu) * (1.0 - m2.phi)
+    # den != 0: both weights have real parts >= 0, the one whose factor is 1 + |nu| >= 2^-53
     den = w1 + w2
-    # den has positive real part for strict contractions; guard anyway
-    if den == 0.0:
-        raise CircumcircleError("degenerate factor combination: zero denominator")
 
-    def solve():
+    def solve(p1, p2):
         c = (w1 * p1 + w2 * p2) / den
         return c, m1.mu * m2.mu / ((1.0 - lam) * abs(den)) * abs(p2 - p1)
 

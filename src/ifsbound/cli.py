@@ -25,6 +25,7 @@ import warnings
 
 import numpy as np
 
+from . import _bind, _lookup
 from .ifs import (
     Ball,
     IfsDocumentError,
@@ -50,28 +51,14 @@ from .bounds import (
     verify_containment,  # noqa: F401  (a lookup site bench/tracer.py wraps)
 )
 
-# Names of the line-query and SVG modules, bound here on first use: only
-# ``intersect`` and ``render`` need them.
-_ON_DEMAND = {
-    "queries": ("Line", "intersect_line"),
-    "render": ("CIRCUM_COLOR", "GENERAL_COLOR", "CircleOutline", "LineSegment", "PointCloud", "Scene", "emit"),
-}
-
 
 def _load(module: str) -> None:
-    """Bind the names of ``module`` here, keeping any name bound earlier
-    (``bench/tracer.py`` binds its wrappers in their place)."""
-    home = getattr(sys.modules[__package__], module)  # imported on first use
-    for name in _ON_DEMAND[module]:
-        globals().setdefault(name, getattr(home, name))
+    """Bind the names of ``queries`` or ``render`` here: most calls need neither."""
+    _bind(globals(), module)
 
 
 def __getattr__(name):
-    for module, names in _ON_DEMAND.items():
-        if name in names:
-            _load(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _lookup(globals(), name)
 
 
 class NonFiniteRecordError(ValueError):

@@ -113,6 +113,13 @@ def _subsets(d: int, size: int) -> tuple:
     return tuple((last, *o) for o in others)
 
 
+def _midpoint(a: float, b: float) -> float:
+    """``(a + b) / 2``, or ``a / 2 + b / 2`` where the sum overflows: halving
+    first would drop the last bit of a subnormal half."""
+    m = (a + b) / 2.0
+    return m if abs(m) < math.inf else a / 2.0 + b / 2.0
+
+
 def _centers(q, d: int):
     """Center (in the affine hull) and edge rank of each ``_subsets`` subset
     of the points ``q`` (see :func:`_point`).  The offset ``x`` from the last
@@ -142,7 +149,7 @@ def _centers(q, d: int):
             basis += ((ex, ey, ez),)
         state[sub] = basis, (x0, x1, x2)
         if len(sub) == 2:
-            yield sub, tuple((a + b) / 2.0 for a, b in zip(q[-1], q[sub[1]])), len(basis)
+            yield sub, tuple(map(_midpoint, q[-1], q[sub[1]])), len(basis)
         else:
             yield sub, (bx + x0, by + x1, bz + x2), len(basis)
 

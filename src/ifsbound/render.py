@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ifs import Ball, _as_point, _rows
-from .queries import Line
 
 CIRCUM_COLOR = "#d62728"  # circumcircles render red
 GENERAL_COLOR = "#1f77b4"  # general bounding circles render blue

@@ -211,6 +211,10 @@ class TestMeanCenters:
         assert c_a == pytest.approx(centroid, abs=1e-12)
         assert c_h == pytest.approx(centroid, abs=1e-12)
 
+    def test_single_map_means_are_its_fixed_point(self):
+        ifs = IfsSystem(maps=(Similitude2(p=0.3 + 0.4j, phi=0.5),))
+        assert mean_centers(ifs) == (0.3 + 0.4j, 0.3 + 0.4j)
+
     def test_coincident_fixed_points_warn(self):
         ifs = IfsSystem(
             maps=(Similitude2(p=0.5, phi=0.3), Similitude2(p=0.5, phi=0.3j))
@@ -745,9 +749,9 @@ _GRID = st.integers(-(2**10), 2**10).map(lambda i: math.ldexp(i, -10))
 
 
 @st.composite
-def _unit_systems(draw, dim):
+def _unit_systems(draw, dim, counts=st.integers(2, 5)):
     maps = []
-    for _ in range(draw(st.integers(2, 5))):
+    for _ in range(draw(counts)):
         p = [draw(_GRID) for _ in range(dim)]
         lam, angle = draw(st.floats(0.2, 0.7)), draw(st.floats(-math.pi, math.pi))
         if dim == 2:
@@ -783,6 +787,56 @@ class TestScaleEquivariance:
         _assert_scaled(general_bounding_ball(ifs).ball, base, k, 2)
         scaled_base = Ball(_point_of(np.ldexp(_coords(base.c), k).tolist()), math.ldexp(base.r, k))
         _assert_scaled(tighten(ifs, scaled_base, 6).ball, tighten(unit, base, 6).ball, k, 2)
+
+
+def _hex(ball):
+    """The bits of a plane ball's center and radius."""
+    return ball.c.real.hex(), ball.c.imag.hex(), ball.r.hex()
+
+
+# ROADMAP item 1's document times 2^500: at 2^-500 its trifractal closed form
+# underflowed to a circle 13x too small
+_ITEM1 = IfsSystem(
+    maps=tuple(
+        Similitude2(p=complex(math.ldexp(x, 500), math.ldexp(y, 500)), phi=complex(*f))
+        for (x, y), f in (
+            ((-5.261604122584017e-152, 1.4766427625592287e-152), (0.19805059465607325, -0.28948047737751437)),
+            ((-2.675760607411687e-151, -1.3593468038007286e-151), (-0.36638456420116855, -0.45871380609891726)),
+            ((2.0747585716942888e-153, 7.920038967133988e-152), (-0.07252019919399065, -0.5402993520140258)),
+        )
+    )
+)
+
+
+class TestCircumcircleScale:
+    """The circumcircles are solved at a safe scale: times 2^k, a unit
+    system's circumcircle is the unit one times 2^k bit for bit, unless a
+    three-map form overflows (k > 0), which makes it unavailable."""
+
+    @given(unit=_unit_systems(2, st.integers(2, 3)), k=st.integers(-1000, 1000))
+    @example(unit=_ITEM1, k=-500)
+    @settings(max_examples=60, deadline=None)
+    def test_circumcircles_scale_by_powers_of_two(self, unit, k):
+        ifs = _scaled(unit, 2.0**k)
+        try:
+            base = circumcircle(unit)
+        except CircumcircleError as exc:
+            base = exc
+        try:
+            ball = circumcircle(ifs).ball
+        except CircumcircleError as exc:
+            assert (unit.n == 3 and k > 0) or str(exc) == str(base)
+        else:
+            assert isinstance(base, bounds.BoundReport), base
+            c = complex(math.ldexp(base.ball.c.real, k), math.ldexp(base.ball.c.imag, k))
+            assert _hex(ball) == _hex(Ball(c, math.ldexp(base.ball.r, k)))
+        # every bound holds the attractor: depth-6 points, measured at the
+        # exponent of its radius, within 1e-9 of it
+        report = best_bounding_ball(ifs)
+        e = math.frexp(report.ball.r)[1]
+        pts = address_points(ifs, 6)
+        d = np.abs(np.ldexp(pts.real - report.ball.c.real, -e) + 1j * np.ldexp(pts.imag - report.ball.c.imag, -e))
+        assert (d <= math.ldexp(report.ball.r, -e) * (1 + 1e-9)).all()
 
 
 def _x_axis_system(maps, x):

@@ -652,9 +652,11 @@ print(code, loaded, gc.get_freeze_count() > 0, file=sys.stderr)
         (["tighten", "--levels", "2"], []),
         (["sample", "--depth", "2"], []),
         (["intersect", "--line", "0", "0", "1", "0"], ["ifsbound.queries"]),
-        (["render", "--out", "OUT", "--count", "50"], ["ifsbound.queries", "ifsbound.render"]),
+        (["render", "--out", "OUT", "--count", "50"], ["ifsbound.render"]),
+        (["render", "--out", "OUT", "--count", "50", "--line", "0", "0", "1", "0"],
+         ["ifsbound.queries", "ifsbound.render"]),
     ],
-    ids=["bound", "verify", "tighten", "sample", "intersect", "render"],
+    ids=["bound", "verify", "tighten", "sample", "intersect", "render", "render-line"],
 )
 def test_subcommands_load_only_the_modules_they_use(argv, loaded, tmp_path):
     path = tmp_path / "tri.json"
@@ -689,6 +691,11 @@ import sys, ifsbound
 assert ifsbound.queries is sys.modules["ifsbound.queries"]
 assert ifsbound.render is sys.modules["ifsbound.render"]
 assert ifsbound.render.Scene is ifsbound.Scene and ifsbound.queries.Line is ifsbound.Line
+""",
+    # render annotates with queries.Line but does not import it
+    "render_alone": """
+import sys, ifsbound.render
+assert "ifsbound.queries" not in sys.modules
 """,
     "unknown_name": """
 import ifsbound, ifsbound.cli
@@ -970,9 +977,11 @@ def test_circumcircle_overflow_names_its_cause(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "overflow" in lines[0]
 
 
-def _assert_circumcircle_falls_back(maps, method, code, radius, tmp_path, capsys):
+def _assert_circumcircle_falls_back(
+    maps, method, code, radius, tmp_path, capsys, cause="the circumcircle overflows the float range"
+):
     """``bound`` takes the general ball, with a note, for a circumcircle
-    that overflows; ``bound --method circum`` exits 1 with one error line."""
+    that is unavailable; ``bound --method circum`` exits 1 with one error line."""
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"dimension": 2, "maps": maps}))
     code_out = main(["bound", "--method", method, "--input", str(path)])
@@ -980,27 +989,37 @@ def _assert_circumcircle_falls_back(maps, method, code, radius, tmp_path, capsys
     assert code_out == code
     if method == "circum":
         assert captured.out == ""
-        assert captured.err == "error: the circumcircle overflows the float range\n"
+        assert captured.err == f"error: {cause}\n"
         return
     assert captured.err == ""
     record = json.loads(captured.out)
     assert record["method"] == "general" and record["radius"] == radius
-    notes = ["circumcircle unavailable: the circumcircle overflows the float range"]
-    assert record["notes"] == (notes if method == "auto" else [])
+    assert record["notes"] == ([f"circumcircle unavailable: {cause}"] if method == "auto" else [])
+
+
+# the fixed points and factors of ROADMAP item 1's three-map document
+_SMALL_TRI = (
+    ((-5.261604122584017e-152, 1.4766427625592287e-152), (0.19805059465607325, -0.28948047737751437)),
+    ((-2.675760607411687e-151, -1.3593468038007286e-151), (-0.36638456420116855, -0.45871380609891726)),
+    ((2.0747585716942888e-153, 7.920038967133988e-152), (-0.07252019919399065, -0.5402993520140258)),
+)
 
 
 @pytest.mark.parametrize("method, code", [("auto", 0), ("circum", 1), ("general", 0)])
 def test_trifractal_overflow_falls_back(method, code, tmp_path, capsys):
     # abs(p) ** 2 of fixed points near 2^700 raises OverflowError in Python
     # floats: the circumcircle is unavailable, so bound takes the general ball
-    ps = ((-5.261604122584017e-152, 1.4766427625592287e-152),
-          (-2.675760607411687e-151, -1.3593468038007286e-151),
-          (2.0747585716942888e-153, 7.920038967133988e-152))
-    phis = ((0.19805059465607325, -0.28948047737751437),
-            (-0.36638456420116855, -0.45871380609891726),
-            (-0.07252019919399065, -0.5402993520140258))
-    maps = [{"p": [math.ldexp(x, 1200) for x in p], "phi": list(f)} for p, f in zip(ps, phis)]
+    maps = [{"p": [math.ldexp(x, 1200) for x in p], "phi": list(f)} for p, f in _SMALL_TRI]
     _assert_circumcircle_falls_back(maps, method, code, 1.03661887978e211, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("method, code", [("auto", 0), ("circum", 1), ("general", 0)])
+def test_small_trifractal_falls_back(method, code, tmp_path, capsys):
+    # solved unscaled, the closed form underflowed to a circle 13x too small;
+    # at a safe scale it has no real root
+    maps = [{"p": list(p), "phi": list(f)} for p, f in _SMALL_TRI]
+    cause = "no real tangential circle for these rotation factors"
+    _assert_circumcircle_falls_back(maps, method, code, 6.02038572805e-151, tmp_path, capsys, cause)
 
 
 @pytest.mark.parametrize("method, code", [("auto", 0), ("circum", 1), ("general", 0)])

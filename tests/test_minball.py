@@ -373,6 +373,16 @@ class TestMagnitudeRange:
         for p in pair:
             assert dist(_point_of((*p, 0.0) if form == "triples" else p), ball.c) <= ball.r
 
+    @pytest.mark.parametrize("x", [1.7e308, -1.7e308])
+    @pytest.mark.parametrize("form", ["pairs", "triples"])
+    def test_pair_midpoint_beyond_the_float_range(self, x, form):
+        # x + x overflows: the midpoint's x is taken as x/2 + x/2
+        pts = [(x, 0.0), (x, 1.0)] if form == "pairs" else [(x, 0.0, 0.0), (x, 1.0, 0.0)]
+        ball, support = min_ball(pts)
+        assert ball.r == 0.5 and support.indices == (0, 1)
+        assert np.asarray(ball.c).tolist() == (x + 0.5j if form == "pairs" else [x, 0.5, 0.0])
+        assert ball_from_support(pts).r == 0.5
+
     def test_support_pair_far_below_its_magnitude(self):
         ball = ball_from_support([(1.0, 0.0), (1.0, 1e-200)])
         assert ball.c == 1 + 5e-201j and ball.r == 5e-201
