@@ -1,51 +1,16 @@
 """Explicit bounding circles and spheres for similitude IFS fractals."""
 
-from .ifs import (
-    AddressWord,
-    Ball,
-    DEFAULT_NODE_BUDGET,
-    IfsDocumentError,
-    IfsSystem,
-    NodeBudgetExceeded,
-    Point,
-    Similitude2,
-    Similitude3,
-    address_points,
-    apply_map,
-    apply_map_ball,
-    apply_word,
-    chaos_game,
-    dist,
-    hutchinson_balls,
-    mu_norm,
-    parse_ifs,
-    serialize_ifs,
-)
-from .minball import SupportSet, ball_from_support, min_ball
-from .bounds import (
-    BoundReport,
-    CircumcircleError,
-    apply_M,
-    best_bounding_ball,
-    circumcircle,
-    circumcircle_bifractal,
-    circumcircle_trifractal,
-    containment_tol,
-    general_bounding_ball,
-    mean_centers,
-    mu_star,
-    mu_values,
-    radius_function,
-    tighten,
-    verify_containment,
-)
+from . import bounds, ifs, minball
+from .ifs import *  # noqa: F403
+from .minball import *  # noqa: F403
+from .bounds import *  # noqa: F403
 
 
 def _bind(namespace: dict, module: str) -> None:
     """Import ``queries`` or ``render`` and bind into ``namespace`` each name
     of ``__all__`` it holds, keeping a name bound earlier (``bench/tracer.py``
     sets its wrappers on ``cli`` so).  A lookup tries ``queries`` first, so
-    only ``cli._load("render")`` leaves ``queries`` unloaded."""
+    only a direct ``_bind(namespace, "render")`` leaves ``queries`` unloaded."""
     home = getattr(__import__(f"{__name__}.{module}"), module)  # -X importtime lists __import__
     for name in __all__:
         if hasattr(home, name):
@@ -74,58 +39,26 @@ def __dir__():
 
 __version__ = "0.1.0"
 
+# the on-demand names of queries and render are listed here only, so that
+# neither __all__ nor dir() loads those modules
 __all__ = [
-    "AddressWord",
-    "Ball",
-    "BoundReport",
+    *ifs.__all__,
+    *minball.__all__,
+    *bounds.__all__,
     "CIRCUM_COLOR",
     "CircleOutline",
-    "CircumcircleError",
-    "DEFAULT_NODE_BUDGET",
     "GENERAL_COLOR",
     "HitInterval",
-    "IfsDocumentError",
-    "IfsSystem",
     "Label",
     "Line",
     "LineIntersection",
     "LineSegment",
-    "NodeBudgetExceeded",
-    "Point",
     "PointCloud",
     "Scene",
-    "Similitude2",
-    "Similitude3",
-    "SupportSet",
     "Viewport",
-    "address_points",
-    "apply_M",
-    "apply_map",
-    "apply_map_ball",
-    "apply_word",
     "auto_viewport",
-    "ball_from_support",
-    "best_bounding_ball",
     "canvas_transform",
-    "chaos_game",
-    "circumcircle",
-    "circumcircle_bifractal",
-    "circumcircle_trifractal",
-    "containment_tol",
-    "dist",
     "emit",
-    "general_bounding_ball",
-    "hutchinson_balls",
     "intersect_line",
     "line_ball_distance",
-    "mean_centers",
-    "min_ball",
-    "mu_norm",
-    "mu_star",
-    "mu_values",
-    "parse_ifs",
-    "radius_function",
-    "serialize_ifs",
-    "tighten",
-    "verify_containment",
 ]

@@ -43,6 +43,24 @@ from .ifs import (
 )
 from .minball import _ball, _dist2, _exponent, _gather, _near, min_ball
 
+__all__ = [
+    "BoundReport",
+    "CircumcircleError",
+    "apply_M",
+    "best_bounding_ball",
+    "circumcircle",
+    "circumcircle_bifractal",
+    "circumcircle_trifractal",
+    "containment_tol",
+    "general_bounding_ball",
+    "mean_centers",
+    "mu_star",
+    "mu_values",
+    "radius_function",
+    "tighten",
+    "verify_containment",
+]
+
 CONTAINMENT_RTOL = 1e-9
 
 _METHODS = {

@@ -52,11 +52,6 @@ from .bounds import (
 )
 
 
-def _load(module: str) -> None:
-    """Bind the names of ``queries`` or ``render`` here: most calls need neither."""
-    _bind(globals(), module)
-
-
 def __getattr__(name):
     return _lookup(globals(), name)
 
@@ -70,13 +65,16 @@ class NonFiniteRecordError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+# every record number is written with _NUM after adding 0.0, which turns
+# -0.0 into 0.0 and keeps every other value
+_NUM = "%.12g"
+
+
 def _jnum(x) -> str:
-    v = float(x)
+    v = float(x) + 0.0
     if not math.isfinite(v):
         raise NonFiniteRecordError(f"non-finite number {v!r} in the output record")
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return f"{v:.12g}"
+    return _NUM % v
 
 
 def _jval(v) -> str:
@@ -103,8 +101,7 @@ def _point_rows(pts: np.ndarray) -> str:
     bad = flat[~np.isfinite(flat)]
     if len(bad):
         _jnum(bad[0])  # raises NonFiniteRecordError
-    row = "[" + ", ".join(["%.12g"] * flat.shape[1]) + "]"  # %.12g is _jnum's format
-    # adding 0.0 turns -0.0 into 0.0 and keeps every other value, as _jnum
+    row = "[" + ", ".join([_NUM] * flat.shape[1]) + "]"
     return "[" + ", ".join(row % tuple(r) for r in (flat + 0.0).tolist()) + "]"
 
 
@@ -168,7 +165,7 @@ def _ball_from_args(ifs: IfsSystem, args) -> Ball:
 
 
 def _line_from_args(values) -> Line:
-    _load("queries")
+    _bind(globals(), "queries")  # bound on use: most calls need neither module
     ax, ay, ux, uy = values
     try:
         return Line(complex(ax, ay), complex(ux, uy))
@@ -218,7 +215,7 @@ def _cmd_tighten(ifs: IfsSystem, args) -> dict:
 def _cmd_intersect(ifs: IfsSystem, args) -> dict:
     if ifs.dim != 2:
         raise ValueError("the CLI line query is 2D only")
-    _load("queries")
+    _bind(globals(), "queries")
     _require(
         math.isfinite(args.eps) and args.eps > 0.0, "--eps must be a finite number > 0"
     )
@@ -238,7 +235,7 @@ def _cmd_sample(ifs: IfsSystem, args) -> dict:
 def _cmd_render(ifs: IfsSystem, args) -> None:
     if ifs.dim != 2:
         raise ValueError("rendering is 2D only")
-    _load("render")
+    _bind(globals(), "render")
     pts = _sample_points(ifs, args)
     layers = [PointCloud(points=pts, radius_px=1.0)]
     general = general_bounding_ball(ifs)

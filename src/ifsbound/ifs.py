@@ -25,6 +25,28 @@ import numpy as np
 
 from .rng import SplitMix64
 
+__all__ = [
+    "AddressWord",
+    "Ball",
+    "DEFAULT_NODE_BUDGET",
+    "IfsDocumentError",
+    "IfsSystem",
+    "NodeBudgetExceeded",
+    "Point",
+    "Similitude2",
+    "Similitude3",
+    "address_points",
+    "apply_map",
+    "apply_map_ball",
+    "apply_word",
+    "chaos_game",
+    "dist",
+    "hutchinson_balls",
+    "mu_norm",
+    "parse_ifs",
+    "serialize_ifs",
+]
+
 DEFAULT_NODE_BUDGET = 10**6
 DEFAULT_BURN_IN = 20
 
@@ -459,11 +481,15 @@ def _word_tree_images(ifs: IfsSystem, starts, levels: int, budget: int, factors:
     (F-ordered), so every "images op one point" runs along an axis row."""
     n, d = ifs.n, ifs.dim
     count = len(starts)
-    size = count * n**levels
+    # count * n**levels, multiplied out only to 2^64 past the budget: the
+    # power itself can take seconds and thousands of digits
+    size, left, cap = count, levels, budget * 2**64
+    while left and n > 1 and size <= cap:
+        size, left = size * n, left - 1
     if size > budget:
         raise NodeBudgetExceeded(
-            f"enumeration would produce {size} leaves, budget is {budget}; "
-            "lower the depth or raise the budget"
+            f"enumeration would produce {f'{count}·{n}^{levels}' if left else size} "
+            f"leaves, budget is {budget}; lower the depth or raise the budget"
         )
     buf = np.empty((d + factors, size))
     out = buf[:3].T if d == 3 else _points(buf[:2].reshape(size, 2))

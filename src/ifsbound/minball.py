@@ -27,6 +27,8 @@ import numpy as np
 
 from .ifs import Ball, _point_of, _rows
 
+__all__ = ["SupportSet", "ball_from_support", "min_ball"]
+
 # an edge whose part off the span of the earlier edges is below this
 # fraction of its length counts as degenerate (flat simplex)
 _RCOND = 1e-7

@@ -518,6 +518,12 @@ class TestTighten:
         with pytest.raises(NodeBudgetExceeded, match="enumeration would produce 8 leaves, budget is 7"):
             tighten(cantor_ifs(), Ball(0.5, 0.5), 3, budget=7)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_huge_levels_exceed_the_budget(self, dim):
+        ifs = sierpinski_ifs() if dim == 2 else random_ifs_3d(np.random.default_rng(25), n=3)
+        with pytest.raises(NodeBudgetExceeded, match=r"would produce 1·3\^1000000 leaves, budget is 1000000"):
+            tighten(ifs, best_bounding_ball(ifs).ball, 10**6)
+
     def test_monotone_and_below_coarse_bound(self):
         rng = np.random.default_rng(56)
         for _ in range(60):

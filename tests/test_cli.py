@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import inspect
 import io
 import json
 import math
@@ -605,10 +606,10 @@ def test_sample_overflow_is_domain_error(dim, tmp_path, capsys):
     assert captured.err.startswith("error: non-finite number")
 
 
-def _run_python(args):
+def _run_python(args, timeout=120):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ifsbound.__file__)))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -714,6 +715,55 @@ for module in (ifsbound, ifsbound.cli):
 def test_on_demand_names_resolve_in_a_fresh_process(probe):
     result = _run_python(["-c", _LIBRARY_PROBES[probe]])
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "name, listed",
+    [("Scene", ["ifsbound.queries", "ifsbound.render"]), ("intersect_line", ["ifsbound.queries"])],
+)
+def test_importtime_lists_the_on_demand_modules(name, listed):
+    # -X importtime reports imports made through __import__, not through
+    # importlib.import_module
+    result = _run_python(["-X", "importtime", "-c", f"import ifsbound; ifsbound.{name}"])
+    assert result.returncode == 0, result.stderr
+    shown = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+    assert [m for m in ("ifsbound.queries", "ifsbound.render") if m in shown] == listed
+
+
+def test_each_public_name_is_declared_once():
+    from ifsbound import bounds, ifs, minball, queries, render
+
+    eager = [*ifs.__all__, *minball.__all__, *bounds.__all__]
+    on_demand = ifsbound.__all__[len(eager):]
+    assert len(set(ifsbound.__all__)) == len(ifsbound.__all__)
+    assert ifsbound.__all__ == eager + on_demand
+    for module in (ifs, minball, bounds):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == [], module
+    assert [name for name in on_demand if not (hasattr(queries, name) or hasattr(render, name))] == []
+    public = {
+        name
+        for module in (queries, render)
+        for name, value in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isclass(value) or inspect.isfunction(value))
+        and value.__module__ == module.__name__
+    }
+    assert public | {"CIRCUM_COLOR", "GENERAL_COLOR"} == set(on_demand)
+
+
+@pytest.mark.parametrize(
+    "argv", [["tighten", "--levels", "100000000"], ["sample", "--depth", "10000"]], ids=["tighten", "sample"]
+)
+def test_huge_depths_end_in_one_budget_error(argv, tmp_path):
+    # the budget is checked without forming 3**depth, which would take
+    # seconds and print past Python's 4300-digit limit
+    path = tmp_path / "tri.json"
+    path.write_text(TRI_DOC)
+    result = _run_python(["-m", "ifsbound.cli", *argv, "--input", str(path)], timeout=10)
+    assert result.returncode == 1 and result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: enumeration would produce "), lines
+    assert "budget is" in lines[0]
 
 
 def test_cli_lookups_keep_names_bound_from_outside(tmp_path):

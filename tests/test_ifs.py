@@ -26,7 +26,7 @@ from ifsbound import (
     tighten,
 )
 from ifsbound.rng import SplitMix64
-from conftest import cantor_ifs, sierpinski_ifs
+from conftest import cantor_ifs, random_ifs_3d, sierpinski_ifs
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -258,6 +258,13 @@ class TestAddressPoints:
         assert len(address_points(cantor_ifs(), 2, budget=8)) == 8  # 2^3 leaves
         with pytest.raises(NodeBudgetExceeded, match="enumeration would produce 8 leaves, budget is 7"):
             address_points(cantor_ifs(), 2, budget=7)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_huge_depth_exceeds_the_budget(self, dim):
+        # decided without forming 3**10**6, a number of 477,122 digits
+        ifs = sierpinski_ifs() if dim == 2 else random_ifs_3d(np.random.default_rng(25), n=3)
+        with pytest.raises(NodeBudgetExceeded, match=r"would produce 3·3\^1000000 leaves, budget is 1000000"):
+            address_points(ifs, 10**6)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_dedupe_matches_unique(self, dim):
