@@ -12,8 +12,9 @@ iterative tightener:
 * the bifractal circumcircle (two maps, plane): the unique fixed circle of
   the outer-tangential-circle transformation ``M``, in closed form.
 
-Both closed forms are solved at a safe scale: fixed points below 2^-300
-are scaled up by a power of two first, which is exact.
+The closed forms (which cube coordinates) and ``tighten`` follow the one
+float-range rule (``ifs._exponent``): a spread outside [2^-300, 2^300], or a
+coordinate from 2^1022 on, is solved at a power-of-two scale, which is exact.
 
 Containment is certified through per-map slack values
 ``s_k = (1 - lam_k) * r - mu_k * |c - p_k|`` with ``mu_k = |1 - phi_k|`` in
@@ -37,11 +38,13 @@ from .ifs import (
     DEFAULT_NODE_BUDGET,
     dist,
     _allowance,
+    _ball,
     _coords,
+    _exponent,
     _rows,
     _word_tree_images,
 )
-from .minball import _ball, _dist2, _exponent, _gather, _near, min_ball
+from .minball import _dist2, _gather, _near, min_ball
 
 __all__ = [
     "BoundReport",
@@ -216,26 +219,21 @@ def _require_plane(ifs: IfsSystem, n: int, name: str) -> None:
         raise ValueError(f"{name} needs a 2D system with exactly {n} maps")
 
 
-# fixed points whose coordinates all lie below this are solved scaled up by a
-# power of two, which is exact: the trifractal form cubes coordinates, and
-# unscaled it already loses bits to underflow at 2^-340
-_CUBE_SAFE = 2.0**-300
-
-
 def _circle_report(ifs: IfsSystem, method: str, solve) -> BoundReport:
     """The report of the circumcircle ``(c, r) = solve(*fixed_points)``, a
-    closed form, solved at a safe scale; one that overflows the float range
-    is not available."""
+    closed form, solved at the scale the float-range rule gives the largest
+    coordinate; a circle beyond the float range is not available."""
     pts = ifs.fixed_points
     size = max(max(abs(p.real), abs(p.imag)) for p in pts)
-    e = math.frexp(size)[1] if size < _CUBE_SAFE else 0
-    try:  # Python's float ** and complex abs raise OverflowError, not inf
+    e = _exponent(size, size)
+    try:  # float **, complex abs and math.ldexp raise OverflowError, not inf
         c, r = solve(*(complex(math.ldexp(p.real, -e), math.ldexp(p.imag, -e)) for p in pts))
         if not (math.isfinite(r) and cmath.isfinite(c)):
             raise OverflowError
+        ball = _ball([c.real, c.imag], r, e, 2)
     except OverflowError:
         raise CircumcircleError("the circumcircle overflows the float range") from None
-    return _report(ifs, _ball([c.real, c.imag], r, e, 2), method)
+    return _report(ifs, ball, method)
 
 
 def _cross(z1: complex, z2: complex) -> float:
@@ -467,9 +465,9 @@ def tighten(
     if not verified:
         raise ValueError(f"input ball is not a verified bounding ball (min slack {min(slack):.3e})")
     centers, factors = _word_tree_images(ifs, [b.c], levels, budget, factors=True)
-    # a radius outside min_ball's range is refined scaled by 2^-e, which is
-    # exact, so no squared 3D distance overflows or underflows; min_ball
-    # solves blocked images in this frame
+    # a ball outside the float-range rule's range is refined scaled by 2^-e,
+    # which is exact, so no squared 3D distance overflows or underflows;
+    # min_ball solves blocked images in this frame
     c = _coords(b.c).tolist()
     e, work = _exponent(b.r, max(map(abs, c))), b
     if e:

@@ -55,7 +55,7 @@ AddressWord = tuple  # tuple of 1-based map indices
 
 
 class NodeBudgetExceeded(RuntimeError):
-    """Raised when a tree enumeration would produce more leaves than allowed."""
+    """Raised when a tree enumeration would exceed its node budget."""
 
 
 _NUMBER = (complex, float, int)  # a plane point given as one number
@@ -470,6 +470,26 @@ def _allowance(levels: int, size: float) -> float:
     return 64 * (levels + 1) * 2.0**-52 * size
 
 
+_IN_RANGE = (2.0**-300, 2.0**300)  # spreads whose squares and cubes stay normal
+
+
+def _exponent(spread: float, size: float) -> int:
+    """The one float-range rule, after Blue's scaled norm (ACM TOMS 1978):
+    values of extent ``spread`` and largest magnitude ``size`` are solved
+    scaled by ``2**-e``, which is exact.  ``e`` is 0 when the spread is 0 or
+    in ``_IN_RANGE`` and the size below 2^1022, else that of the spread,
+    raised so that no scaled magnitude reaches 2^1022 (a pair sum overflows)."""
+    top = math.frexp(size)[1] - 1022
+    if top <= 0 and (spread == 0.0 or _IN_RANGE[0] <= spread <= _IN_RANGE[1]):
+        return 0
+    return max(math.frexp(spread)[1], top)
+
+
+def _ball(c, r: float, e: int, d: int) -> Ball:
+    """The ball ``(c, r)`` solved at exponent ``e``, scaled back; OverflowError past the float range."""
+    return Ball(_point_of([math.ldexp(x, e) for x in c[:d]]), math.ldexp(r, e))
+
+
 def _word_tree_images(ifs: IfsSystem, starts, levels: int, budget: int, factors: bool = False):
     """Images of the points ``starts`` under all depth-``levels``
     compositions, map-major: block ``k`` of a level is map ``k+1`` applied
@@ -486,10 +506,11 @@ def _word_tree_images(ifs: IfsSystem, starts, levels: int, budget: int, factors:
     size, left, cap = count, levels, budget * 2**64
     while left and n > 1 and size <= cap:
         size, left = size * n, left - 1
-    if size > budget:
+    if max(size, levels) > budget:  # one map: one leaf, but NumPy calls every level
+        leaves = f"{count}·{n}^{levels}" if left else size
+        what = f"produce {leaves} leaves" if size > budget else f"walk {levels} levels"
         raise NodeBudgetExceeded(
-            f"enumeration would produce {f'{count}·{n}^{levels}' if left else size} "
-            f"leaves, budget is {budget}; lower the depth or raise the budget"
+            f"enumeration would {what}, budget is {budget}; lower the depth or raise the budget"
         )
     buf = np.empty((d + factors, size))
     out = buf[:3].T if d == 3 else _points(buf[:2].reshape(size, 2))

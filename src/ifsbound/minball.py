@@ -11,9 +11,10 @@ a ball around each contiguous block of points, centered on its first point
 (``tighten`` does, for its word tree), can let the pass skip the blocks that
 cannot hold the farthest point (the culling of Hart and DeFanti, SIGGRAPH
 1991); the point found and its distance are the same floats.  Point sets
-whose extent along an axis lies beyond 2^500 or below 2^-400 are solved
-scaled by a power of two, so no square overflows or underflows (a caller
-that gives blocks has scaled its points itself).
+follow the one float-range rule (``ifs._exponent``): an axis extent outside
+[2^-300, 2^300], or a coordinate from 2^1022 on, is solved at a power-of-two
+scale, so no square or pair sum overflows or underflows (a caller that gives
+blocks has scaled its points itself).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .ifs import Ball, _point_of, _rows
+from .ifs import Ball, _ball, _exponent, _point_of, _rows
 
 __all__ = ["SupportSet", "ball_from_support", "min_ball"]
 
@@ -45,22 +46,6 @@ class SupportSet:
 # up to this many points (and no blocks), the passes run in Python floats:
 # a NumPy call costs more than a short loop
 _FLOATS_UP_TO = 64
-
-# spreads solved as given: no squared distance overflows, and none
-# underflows below the normal range (a spread of one ulp at 2^-400 squares
-# to 2^-904); outside it the points are scaled by a power of two, which is
-# exact
-_IN_RANGE = (2.0**-400, 2.0**500)
-
-
-def _exponent(spread: float, size: float) -> int:
-    """The binary exponent ``e`` at which points of extent ``spread`` and
-    largest magnitude ``size`` are solved, scaled by ``2**-e``: 0 when the
-    spread is 0 or within ``_IN_RANGE``, else that of the spread, raised
-    where needed so that no scaled magnitude passes 2^1023."""
-    if spread == 0.0 or _IN_RANGE[0] <= spread <= _IN_RANGE[1]:
-        return 0
-    return max(math.frexp(spread)[1], math.frexp(size)[1] - 1023)
 
 
 def _coordinates(points, framed: bool = False) -> tuple:
@@ -95,11 +80,6 @@ def _coordinates(points, framed: bool = False) -> tuple:
     return cols, np.ldexp(work, -e) if e else work, e
 
 
-def _ball(c, r: float, e: int, d: int) -> Ball:
-    """The ball ``(c, r)`` solved at exponent ``e``, scaled back (exactly)."""
-    return Ball(_point_of([math.ldexp(x, e) for x in c[:d]]), math.ldexp(r, e))
-
-
 def _point(cols: np.ndarray, i: int) -> tuple:
     """Point ``i`` as ``(x, y, z)``; ``z = 0`` for a plane point keeps every
     sum the kernel forms exact, so one kernel serves both dimensions."""
@@ -113,13 +93,6 @@ def _subsets(d: int, size: int) -> tuple:
     last = size - 1
     others = (o for m in range(min(d, last) + 1) for o in combinations(range(last), m))
     return tuple((last, *o) for o in others)
-
-
-def _midpoint(a: float, b: float) -> float:
-    """``(a + b) / 2``, or ``a / 2 + b / 2`` where the sum overflows: halving
-    first would drop the last bit of a subnormal half."""
-    m = (a + b) / 2.0
-    return m if abs(m) < math.inf else a / 2.0 + b / 2.0
 
 
 def _centers(q, d: int):
@@ -151,7 +124,7 @@ def _centers(q, d: int):
             basis += ((ex, ey, ez),)
         state[sub] = basis, (x0, x1, x2)
         if len(sub) == 2:
-            yield sub, tuple(map(_midpoint, q[-1], q[sub[1]])), len(basis)
+            yield sub, tuple((a + b) / 2.0 for a, b in zip(q[-1], q[sub[1]])), len(basis)
         else:
             yield sub, (bx + x0, by + x1, bz + x2), len(basis)
 

@@ -7,6 +7,10 @@ most ``eps``, grown by the allowance, emit their chord on the line widened
 by ``eps``.  The merged interval list covers every attractor point on the
 line, and each interval witnesses a leaf ball whose attractor part passes
 within ``2*eps`` of the line, plus the allowance.
+The walk follows the one float-range rule (``ifs._exponent``): a bound radius
+outside [2^-300, 2^300], or a center or anchor coordinate from 2^1022 on, is
+walked at a power-of-two scale, which is exact, so the intervals of 2^k times
+the inputs are 2^k times the unit ones, bit for bit, wherever they are finite.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .ifs import (
     _as_direction,
     _as_point,
     _coords,
+    _exponent,
     _rows,
     dist,
     point_dim,
@@ -154,7 +159,10 @@ def intersect_line(
     lams = np.array([m.lam for m in ifs.maps])
     offsets = (np.eye(dim) - lins) @ _rows(ifs.fixed_points)[..., None]
     c, a, u = _coords(bound.c), _coords(line.a), _coords(line.u)
-    size = float(np.abs(c).sum() + np.abs(a).sum()) + 2.0 * bound.r
+    # scaled by 2^-e, so no squared radius or gap over- or underflows
+    e = _exponent(bound.r, float(np.abs((c, a)).max()))
+    offsets, c, a, (r, eps) = (np.ldexp(x, -e) for x in (offsets, c, a, (bound.r, eps)))
+    size = float(np.abs(c).sum() + np.abs(a).sum()) + 2.0 * r
     keys = np.arange(1, n + 1, dtype=np.min_scalar_type(n))
     shift, lin, factor, words = np.zeros((1, dim)), np.eye(dim)[None], np.ones(1), keys[None, :0]
     kept, emitted = [], []  # per level: the (t0, gap, radius) rows and words of emitted nodes
@@ -162,7 +170,7 @@ def intersect_line(
     while True:
         allow = _allowance(words.shape[1], size)
         center = shift + lin @ c
-        radius = factor * bound.r
+        radius = factor * r
         t0 = (center - a) @ u
         gap = np.hypot.reduce(center - (a + t0[:, None] * u), axis=1)
         hit = gap - radius <= allow
@@ -184,6 +192,5 @@ def intersect_line(
         words = np.column_stack((np.repeat(words[pending], n, axis=0), np.tile(keys, count)))
     t0, gap, radius = np.concatenate(kept, axis=1)
     h = np.sqrt(np.maximum(0.0, radius * radius - gap * gap))
-    return LineIntersection(
-        intervals=_merge(t0 - h - eps, t0 + h + eps, emitted), truncated=truncated
-    )
+    t_lo, t_hi = np.ldexp((t0 - h - eps, t0 + h + eps), e)
+    return LineIntersection(intervals=_merge(t_lo, t_hi, emitted), truncated=truncated)

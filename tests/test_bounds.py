@@ -395,8 +395,9 @@ class TestCircumcircleBifractal:
             circumcircle_bifractal(sierpinski_ifs())
 
     def test_overflow_is_unavailable(self):
-        # |p2 - p1| = 2.1e308: Python's complex abs raises OverflowError
-        far = 0.75e308 * (1 + 1j)
+        # solved at a safe scale, the circle's radius |p2 - p1| / 2 = 2.4e308
+        # is beyond the float range once scaled back
+        far = 1.7e308 * (1 + 1j)
         ifs = IfsSystem(maps=(Similitude2(p=-far, phi=0.5), Similitude2(p=far, phi=0.5)))
         with pytest.raises(CircumcircleError, match="the circumcircle overflows the float range"):
             circumcircle_bifractal(ifs)
@@ -442,10 +443,10 @@ class TestBestBoundingBall:
         assert report.method.startswith("general")
 
     def test_overflowing_candidates_are_skipped(self):
-        # fixed points 2e308 apart: the harmonic weights and the
-        # circumcircle overflow; the optimal center's ball does not
-        phi = cmath.rect(0.4, 0.3)
-        ifs = IfsSystem(maps=(Similitude2(p=1e308j, phi=phi), Similitude2(p=-1e308j, phi=0.5)))
+        # fixed points 2e308 apart: the harmonic weights overflow, and so
+        # does the circumcircle (radius 2.4e308, looser than the general
+        # ball for these factors); the optimal center's ball (1.69e308) does not
+        ifs = IfsSystem(maps=(Similitude2(p=1e308j, phi=0.75 - 0.25j), Similitude2(p=-1e308j, phi=0.75 + 0.25j)))
         with pytest.raises(OverflowError, match="covering radii"):
             general_bounding_ball(ifs, center="harmonic")
         with pytest.raises(CircumcircleError, match="overflows"):
@@ -815,9 +816,9 @@ _ITEM1 = IfsSystem(
 
 
 class TestCircumcircleScale:
-    """The circumcircles are solved at a safe scale: times 2^k, a unit
-    system's circumcircle is the unit one times 2^k bit for bit, unless a
-    three-map form overflows (k > 0), which makes it unavailable."""
+    """The circumcircles follow the float-range rule: times 2^k, a unit
+    system's circumcircle is the unit one times 2^k bit for bit, and an
+    unavailable one is unavailable for the same reason."""
 
     @given(unit=_unit_systems(2, st.integers(2, 3)), k=st.integers(-1000, 1000))
     @example(unit=_ITEM1, k=-500)
@@ -831,7 +832,7 @@ class TestCircumcircleScale:
         try:
             ball = circumcircle(ifs).ball
         except CircumcircleError as exc:
-            assert (unit.n == 3 and k > 0) or str(exc) == str(base)
+            assert str(exc) == str(base)
         else:
             assert isinstance(base, bounds.BoundReport), base
             c = complex(math.ldexp(base.ball.c.real, k), math.ldexp(base.ball.c.imag, k))

@@ -21,7 +21,9 @@ from ifsbound import (
     IfsDocumentError,
     IfsSystem,
     Line,
+    Similitude2,
     Similitude3,
+    circumcircle,
     intersect_line,
     parse_ifs,
     serialize_ifs,
@@ -766,6 +768,21 @@ def test_huge_depths_end_in_one_budget_error(argv, tmp_path):
     assert "budget is" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv", [["tighten", "--levels", "100000000"], ["sample", "--depth", "100000000"]], ids=["tighten", "sample"]
+)
+def test_one_map_levels_count_against_the_budget(argv, tmp_path):
+    # a one-map tree has one leaf at every depth, but walks every level
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"dimension": 2, "maps": [{"p": [0.2, 0.4], "phi": [0, 0.5]}]}))
+    result = _run_python(["-m", "ifsbound.cli", *argv, "--input", str(path)], timeout=10)
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr == (
+        "error: enumeration would walk 100000000 levels, budget is 1000000; "
+        "lower the depth or raise the budget\n"
+    )
+
+
 def test_cli_lookups_keep_names_bound_from_outside(tmp_path):
     # bench/tracer.py reads cli.intersect_line and cli.emit before any call
     # and binds wrappers there; the commands must call those wrappers
@@ -856,13 +873,22 @@ def _huge_document(dim) -> str:
     return json.dumps({"dimension": dim, "maps": maps})
 
 
+# fixed points +-1e308 on the y axis, turning opposite ways: the harmonic
+# weights overflow, and so does the circumcircle (radius 2.4e308, looser than
+# the general ball for these factors); the general ball (1.69e308) does not
+_ROTATED_BI_DOC = json.dumps(
+    {"dimension": 2, "maps": [{"p": [0, 1e308], "phi": [0.75, -0.25]}, {"p": [0, -1e308], "phi": [0.75, 0.25]}]}
+)
+
+
 @pytest.mark.parametrize(
     "dim, argv",
     [
         (2, ["bound", "--method", "circum"]),
         (2, ["bound", "--method", "general", "--center", "harmonic"]),
         (2, ["tighten", "--center", "0", "1.7e308", "--radius", "1e308"]),
-        (2, ["intersect", "--line", "0", "0", "1", "0"]),
+        # from an anchor at one end, the other end's parameter is 3.4e308
+        (2, ["intersect", "--line", "1.7e308", "0", "-1", "0"]),
         (2, ["sample", "--depth", "1"]),
         (2, ["sample", "--count", "5"]),
         (2, ["render", "--out", "{tmp}/x.svg", "--count", "10"]),
@@ -879,10 +905,11 @@ def _huge_document(dim) -> str:
 def test_overflow_is_one_error_line(dim, argv, tmp_path):
     """Overflowing numbers end in exit 1 and one error line on the real
     stderr: no traceback and no NumPy warning lines.  (The fixed points
-    +-1.7e308 are 3.4e308 apart: the harmonic weights, the bifractal
-    circumcircle and distances from far centers overflow.)"""
+    +-1.7e308 are 3.4e308 apart: the harmonic weights and distances from
+    far centers overflow.  Their bifractal circle fits the float range, so
+    the circumcircle row reads the rotated document, whose circle does not.)"""
     path = tmp_path / "huge.json"
-    path.write_text(_huge_document(dim))
+    path.write_text(_ROTATED_BI_DOC if argv[-1] == "circum" else _huge_document(dim))
     argv = [a.format(tmp=tmp_path) for a in argv]
     result = _run_python(["-m", "ifsbound.cli", *argv, "--input", str(path)])
     assert result.returncode == 1
@@ -919,17 +946,14 @@ def test_huge_fixed_points_give_a_record(dim, argv, code, tmp_path):
         assert record["slack"] == [0, 0]
 
 
-def _far_document(dim, far):
-    """Two maps (lambda 0.4 turning by 0.3 rad, lambda 0.5) with fixed
-    points at +-far on one axis."""
-    if dim == 2:
-        maps = [{"p": [0, y], "lambda": lam, "theta": t} for y, lam, t in ((far, 0.4, 0.3), (-far, 0.5, 0.0))]
-    else:
-        maps = [
-            {"p": [x, 0, 0], "lambda": lam, "axis": [0, 0, 1], "angle": t}
-            for x, lam, t in ((far, 0.4, 0.3), (-far, 0.5, 0.0))
-        ]
-    return json.dumps({"dimension": dim, "maps": maps})
+def _far_document(far):
+    """Two space maps (lambda 0.4 turning by 0.3 rad, lambda 0.5) with
+    fixed points at +-far on the x axis."""
+    maps = [
+        {"p": [x, 0, 0], "lambda": lam, "axis": [0, 0, 1], "angle": t}
+        for x, lam, t in ((far, 0.4, 0.3), (-far, 0.5, 0.0))
+    ]
+    return json.dumps({"dimension": 3, "maps": maps})
 
 
 @pytest.mark.parametrize(
@@ -947,7 +971,7 @@ def _far_document(dim, far):
 def test_3d_distances_beyond_square_range(argv, tmp_path, capsys):
     # fixed points 2e200 apart: their squared distance overflows
     path = tmp_path / "far.json"
-    path.write_text(_far_document(3, 1e200))
+    path.write_text(_far_document(1e200))
     code = main([*argv, "--input", str(path)])
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
@@ -972,7 +996,7 @@ def test_3d_radii_scale_with_the_document(exponent, argv, digits, tmp_path, caps
     # the unit document's radii times 10^exponent, with no warning: at
     # 1e-200 the squared distances underflow to 0, at 1e200 they overflow
     path = tmp_path / "doc.json"
-    path.write_text(_far_document(3, float(f"1e{exponent}")))
+    path.write_text(_far_document(float(f"1e{exponent}")))
     code = main([*argv, "--input", str(path)])
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
@@ -985,17 +1009,17 @@ def test_3d_radii_scale_with_the_document(exponent, argv, digits, tmp_path, caps
 def test_best_center_skips_an_overflowing_candidate(argv, tmp_path, capsys):
     # the harmonic weights and the circumcircle overflow, the smallest-circle center does not
     path = tmp_path / "far.json"
-    path.write_text(_far_document(2, 1e308))
+    path.write_text(_ROTATED_BI_DOC)
     code = main([*argv, "--input", str(path)])
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     record = json.loads(captured.out)
-    assert record["method"] == "general" and record["radius"] == 1.25814277202e308
+    assert record["method"] == "general" and record["radius"] == 1.68816503408e308
 
 
 def test_overflowing_circumcircle_is_one_error_line(tmp_path, capsys):
     path = tmp_path / "far.json"
-    path.write_text(_far_document(2, 1e308))
+    path.write_text(_ROTATED_BI_DOC)
     code = main(["bound", "--method", "circum", "--input", str(path)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
@@ -1014,9 +1038,14 @@ def test_optimal_center_of_huge_fixed_points(tmp_path, capsys):
     assert record["center"] == [0, 0] and record["radius"] == 1.7e308
 
 
+# fixed points whose circumcircle, radius 1.94e308 about (0, 0.945e308), is
+# beyond the float range; the general ball, radius 1.7e308 about 0, is not
+_HUGE_TRI = [{"p": p, "phi": [0.5, 0]} for p in ([1.7e308, 0], [-1.7e308, 0], [0, -1e308])]
+
+
 def test_circumcircle_overflow_names_its_cause(tmp_path, capsys):
-    # abs(p) ** 2 of a fixed point at 1e308 raises OverflowError in Python floats
-    maps = [{"p": p, "phi": [0.5, 0]} for p in ([1e308, 0], [-1e308, 0], [0, 1e308])]
+    # solved at a safe scale, the circle overflows as it is scaled back
+    maps = _HUGE_TRI
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"dimension": 2, "maps": maps}))
     code = main(["bound", "--method", "circum", "--input", str(path)])
@@ -1057,10 +1086,8 @@ _SMALL_TRI = (
 
 @pytest.mark.parametrize("method, code", [("auto", 0), ("circum", 1), ("general", 0)])
 def test_trifractal_overflow_falls_back(method, code, tmp_path, capsys):
-    # abs(p) ** 2 of fixed points near 2^700 raises OverflowError in Python
-    # floats: the circumcircle is unavailable, so bound takes the general ball
-    maps = [{"p": [math.ldexp(x, 1200) for x in p], "phi": list(f)} for p, f in _SMALL_TRI]
-    _assert_circumcircle_falls_back(maps, method, code, 1.03661887978e211, tmp_path, capsys)
+    # the circumcircle is beyond the float range, so bound takes the general ball
+    _assert_circumcircle_falls_back(_HUGE_TRI, method, code, 1.7e308, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("method, code", [("auto", 0), ("circum", 1), ("general", 0)])
@@ -1072,11 +1099,39 @@ def test_small_trifractal_falls_back(method, code, tmp_path, capsys):
     _assert_circumcircle_falls_back(maps, method, code, 6.02038572805e-151, tmp_path, capsys, cause)
 
 
+def test_far_rotated_trifractal_keeps_its_circumcircle(tmp_path, capsys):
+    # its cubed coordinates overflowed unscaled, from about 2^340: the
+    # circle was unavailable and bound fell back to a looser general ball
+    maps = [((0, 0), (0.4, 0.1)), ((1, 0), (0.3, -0.2)), ((0.25, 0.75), (0.2, 0.3))]
+    unit = circumcircle(IfsSystem(maps=tuple(Similitude2(p=complex(*p), phi=complex(*f)) for p, f in maps)))
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"dimension": 2, "maps": [{"p": [math.ldexp(x, 400) for x in p], "phi": f} for p, f in maps]}))
+    code = main(["bound", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    record = json.loads(captured.out)
+    assert record["method"] == "circum_tri" and record["notes"] == []
+    assert record["radius"] == float("%.12g" % math.ldexp(unit.ball.r, 400))
+
+
+def test_far_cantor_line_query_is_finite(tmp_path, capsys):
+    # at 2^600 the squared node radii overflowed and every interval was
+    # (-inf, inf); the query now runs scaled down and its ends scale back
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"dimension": 2, "maps": [{"p": [x, 0], "phi": [0.3, 0]} for x in (0, 2.0**600)]}))
+    code = main(["intersect", "--input", str(path), "--line", "0", "0", "1", "0", "--eps", "1e177"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    record = json.loads(captured.out, parse_constant=lambda name: pytest.fail(name))
+    assert record["intervals"] and record["truncated"] is False
+    assert record["intervals"][0][0] < 0 < record["intervals"][0][1]
+    assert record["intervals"][-1][0] < 2.0**600 < record["intervals"][-1][1]
+
+
 @pytest.mark.parametrize("method, code", [("auto", 0), ("circum", 1), ("general", 0)])
 def test_bifractal_overflow_falls_back(method, code, tmp_path, capsys):
-    # |p2 - p1| = 2.1e308: Python's complex abs raises OverflowError
-    maps = [{"p": [s * 0.75e308, s * 0.75e308], "phi": [0.5, 0]} for s in (-1, 1)]
-    _assert_circumcircle_falls_back(maps, method, code, 1.06066017178e308, tmp_path, capsys)
+    maps = json.loads(_ROTATED_BI_DOC)["maps"]
+    _assert_circumcircle_falls_back(maps, method, code, 1.68816503408e308, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("gap, verified", [(1e-9, True), (1e-8, False)])

@@ -249,6 +249,13 @@ class TestAddressPoints:
             assert pts.shape == (1,)
             assert pts[0] == 0.2 + 0.4j
 
+    def test_single_map_levels_count_against_the_budget(self):
+        # one leaf at every depth, but a round of work a level
+        ifs = IfsSystem(maps=(Similitude2(p=0.2 + 0.4j, phi=0.5j),))
+        assert address_points(ifs, 8, budget=8).tolist() == [0.2 + 0.4j]
+        with pytest.raises(NodeBudgetExceeded, match="enumeration would walk 9 levels, budget is 8"):
+            address_points(ifs, 9, budget=8)
+
     def test_budget_exceeded(self):
         with pytest.raises(NodeBudgetExceeded):
             address_points(cantor_ifs(), 19)  # 2^20 points, just above the default

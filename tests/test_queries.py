@@ -333,6 +333,55 @@ class TestTangentHits:
         assert misses == 0
 
 
+def _times(z, k):
+    """A point or number ``z`` times 2^k, exactly."""
+    if isinstance(z, complex):
+        return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+    return np.ldexp(z, k) if isinstance(z, np.ndarray) else math.ldexp(z, k)
+
+
+def _system_times(ifs, k):
+    """The system ``ifs`` with every fixed point times 2^k."""
+    if ifs.dim == 2:
+        return IfsSystem(maps=tuple(Similitude2(p=_times(m.p, k), phi=m.phi) for m in ifs.maps))
+    return IfsSystem(maps=tuple(Similitude3(p=_times(m.p, k), lam=m.lam, rot=m.rot) for m in ifs.maps))
+
+
+class TestLineScale:
+    """The line query follows the float-range rule: a system, line, bound
+    and eps all times 2^k give 2^k times the unit intervals, bit for bit,
+    with the same words and truncation, far past the scales where a squared
+    radius overflows (every interval turned to (-inf, inf)) or underflows
+    (every chord was lost)."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_intervals_scale_by_powers_of_two(self, dim):
+        rng = np.random.default_rng(90 + dim)
+        truncated = []
+        for i in range(6):
+            ifs = random_ifs_2d(rng) if dim == 2 else random_ifs_3d(rng)
+            pts = address_points(ifs, 3)
+            anchor = pts[int(rng.integers(len(pts)))]  # an attractor point: the line hits
+            u = cmath.rect(1.0, rng.uniform(0.0, math.pi)) if dim == 2 else rng.normal(size=3)
+            # 2D takes the default bound, whose circumcircles and general
+            # ball scale exactly; a 3D general radius out of range passes
+            # dist's hypot fallback, an ulp apart from sqrt(v . v)
+            bound = best_bounding_ball(ifs).ball
+            budget = 40 if i % 2 else 10**6
+            base = intersect_line(ifs, Line(anchor, u), 1e-3, bound, budget)
+            assert base.intervals
+            truncated.append(base.truncated)
+            for k in (-700, -600, *rng.integers(-700, 901, size=3).tolist(), 600, 900):
+                bound_k = None if dim == 2 else Ball(_times(bound.c, k), _times(bound.r, k))
+                line = Line(_times(anchor, k), u)
+                got = intersect_line(_system_times(ifs, k), line, _times(1e-3, k), bound_k, budget)
+                assert got.truncated == base.truncated
+                assert got.intervals == tuple(
+                    HitInterval(_times(h.t_lo, k), _times(h.t_hi, k), h.word, h.depth) for h in base.intervals
+                )
+        assert any(truncated) and not all(truncated)
+
+
 _BALL_3D = Ball((0.5, 0.0, 0.0), 1.0)
 
 
