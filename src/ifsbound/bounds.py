@@ -196,17 +196,23 @@ def general_bounding_ball(ifs: IfsSystem, center: str = "optimal") -> BoundRepor
     radius function), ``arithmetic``/``harmonic`` the mean centers.
     ``best`` is ``optimal``: no center gives a smaller radius function, so
     no other center gives a smaller ball.  Works in the plane and in space.
+    A ball beyond the float range raises ``OverflowError``.
     """
-    if center in ("optimal", "best"):
-        method, c = "general", min_ball(ifs.fixed_points)[0].c
-    elif center == "arithmetic":
+    if center == "arithmetic":
         method, c = "general_arithmetic", _arithmetic_center(ifs)
-    elif center == "harmonic":
+    elif center == "harmonic":  # its OverflowError names the covering radii
         method, c = "general_harmonic", mean_centers(ifs)[1]
-    else:
+    elif center not in ("optimal", "best"):
         raise ValueError(f"unknown center strategy {center!r}")
-    scale = mu_star(ifs) / (1.0 - ifs.lambda_star)
-    return _report(ifs, Ball(c, scale * radius_function(ifs, c)), method)
+    try:  # min_ball's scale-back and a complex abs raise OverflowError, not inf
+        if center in ("optimal", "best"):
+            method, c = "general", min_ball(ifs.fixed_points)[0].c
+        r = mu_star(ifs) / (1.0 - ifs.lambda_star) * radius_function(ifs, c)
+    except OverflowError:
+        r = math.inf
+    if not r < math.inf:
+        raise OverflowError("the general bounding ball overflows the float range")
+    return _report(ifs, Ball(c, r), method)
 
 
 # ---------------------------------------------------------------------------

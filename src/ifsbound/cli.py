@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -50,6 +51,9 @@ from .bounds import (
     tighten,
     verify_containment,  # noqa: F401  (a lookup site bench/tracer.py wraps)
 )
+
+if TYPE_CHECKING:  # for type checkers; at run time _bind binds it on first use
+    from .queries import Line
 
 
 def __getattr__(name):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, Union
@@ -400,25 +399,24 @@ def point_dim(z: Point) -> int:
     return 2 if isinstance(z, _NUMBER) else 3
 
 
-# sums of three squares that ``v . v`` forms without overflow, and in the
-# normal range
-_SQUARES_IN_RANGE = (sys.float_info.min, 2.0**1023)
-
-
 def dist(a: Point, b: Point) -> float:
-    """Euclidean distance, dimension-aware.  A 3D distance is
-    ``sqrt(v . v)``, as ``np.linalg.norm`` computes it, unless ``v . v``
-    would overflow or fall below the normal range: then ``math.hypot``,
-    which does neither."""
+    """Euclidean distance, dimension-aware.  A 3D distance is ``sqrt(v . v)``,
+    as ``np.linalg.norm`` computes it, in the frame :func:`_exponent` gives the
+    largest |coordinate| of ``v``; beyond the float range it is inf."""
     # kept per layout: a complex modulus (hypot) and a vector norm round apart
     if isinstance(a, _NUMBER):
         return abs(complex(a) - complex(b))
     v = np.asarray(a, float) - np.asarray(b, float)
     x, y, z = v.tolist()
-    s = x * x + y * y + z * z  # Python floats: an overflow is inf, not a warning
-    if not _SQUARES_IN_RANGE[0] <= s <= _SQUARES_IN_RANGE[1]:  # 0 too: v . v may underflow
-        return math.hypot(x, y, z)
-    return math.sqrt(v.dot(v))
+    size = max(abs(x), abs(y), abs(z))
+    if _IN_RANGE[0] <= size <= _IN_RANGE[1]:
+        return math.sqrt(v.dot(v))
+    e = _exponent(size, size)  # at 2^-e, which is exact, v . v is in range
+    v = np.ldexp(v, -e)
+    try:
+        return math.ldexp(math.sqrt(v.dot(v)), e)
+    except OverflowError:  # beyond the float range
+        return math.inf
 
 
 def apply_map(m: Similitude, z: Point) -> Point:

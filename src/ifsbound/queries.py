@@ -7,10 +7,10 @@ most ``eps``, grown by the allowance, emit their chord on the line widened
 by ``eps``.  The merged interval list covers every attractor point on the
 line, and each interval witnesses a leaf ball whose attractor part passes
 within ``2*eps`` of the line, plus the allowance.
-The walk follows the one float-range rule (``ifs._exponent``): a bound radius
-outside [2^-300, 2^300], or a center or anchor coordinate from 2^1022 on, is
-walked at a power-of-two scale, which is exact, so the intervals of 2^k times
-the inputs are 2^k times the unit ones, bit for bit, wherever they are finite.
+The walk follows the one float-range rule (``ifs._exponent``), applied to the
+bound radius plus the allowance of the largest center or anchor coordinate: a
+power-of-two scale is exact, so the intervals of 2^k times the inputs are 2^k
+times the unit ones, bit for bit, wherever they are finite.
 """
 
 from __future__ import annotations
@@ -159,8 +159,9 @@ def intersect_line(
     lams = np.array([m.lam for m in ifs.maps])
     offsets = (np.eye(dim) - lins) @ _rows(ifs.fixed_points)[..., None]
     c, a, u = _coords(bound.c), _coords(line.a), _coords(line.u)
-    # scaled by 2^-e, so no squared radius or gap over- or underflows
-    e = _exponent(bound.r, float(np.abs((c, a)).max()))
+    # scaled by 2^-e, so no squared radius, allowance or gap over- or underflows
+    big = float(np.abs((c, a)).max())
+    e = _exponent(bound.r + _allowance(0, big), big)
     offsets, c, a, (r, eps) = (np.ldexp(x, -e) for x in (offsets, c, a, (bound.r, eps)))
     size = float(np.abs(c).sum() + np.abs(a).sum()) + 2.0 * r
     keys = np.arange(1, n + 1, dtype=np.min_scalar_type(n))

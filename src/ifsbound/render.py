@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .ifs import Ball, _as_point, _rows
+
+if TYPE_CHECKING:  # for type checkers only: render never loads queries itself
+    from .queries import Line
 
 CIRCUM_COLOR = "#d62728"  # circumcircles render red
 GENERAL_COLOR = "#1f77b4"  # general bounding circles render blue

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from ifsbound import (
     verify_containment,
 )
 from ifsbound import bounds
-from ifsbound.ifs import _coords, _point_of, _word_tree_images
+from ifsbound.ifs import _coords, _word_tree_images
 from conftest import (
     cantor_ifs,
     mixed_bifractal,
@@ -186,6 +187,24 @@ class TestGeneralBoundingBall:
             ifs = random_ifs_3d(rng)
             report = general_bounding_ball(ifs)
             assert min(report.slack) >= -containment_tol(report.ball.r)
+
+    @pytest.mark.parametrize(
+        "maps",
+        [
+            # the smallest circle of the fixed points (radius 2.4e308) is beyond the float range
+            [Similitude2(p=x * (1 + 1j), phi=0.5) for x in (1.7e308, -1.7e308)],
+            # only the radius, 3 * 1e308, is
+            [Similitude2(p=x, phi=-0.5) for x in (1e308, -1e308)],
+        ],
+        ids=["circle", "radius"],
+    )
+    @pytest.mark.parametrize("center", ["optimal", "arithmetic", "best"])
+    def test_beyond_the_float_range_is_one_overflow(self, maps, center):
+        ifs = IfsSystem(maps=tuple(maps))
+        with pytest.raises(OverflowError, match="^the general bounding ball overflows the float range$"):
+            general_bounding_ball(ifs, center)
+        with pytest.raises(OverflowError, match="^the general bounding ball overflows the float range$"):
+            best_bounding_ball(ifs)
 
 
 class TestMeanCenters:
@@ -769,17 +788,16 @@ def _unit_systems(draw, dim, counts=st.integers(2, 5)):
     return IfsSystem(maps=tuple(maps))
 
 
-def _assert_scaled(ball, unit, k, ulps):
-    """``ball`` is ``unit`` times 2^k within ``ulps`` ulps of its size."""
-    c, r = np.ldexp(_coords(unit.c), k), math.ldexp(unit.r, k)
-    tol = ulps * math.ulp(max(float(np.abs(c).max()), r))
-    assert np.abs(_coords(ball.c) - c).max() <= tol and abs(ball.r - r) <= ulps * math.ulp(r)
+def _assert_scaled(ball, unit, k):
+    """``ball`` is ``unit`` times 2^k, bit for bit."""
+    assert np.array_equal(_coords(ball.c), np.ldexp(_coords(unit.c), k)) and ball.r == math.ldexp(unit.r, k)
 
 
 class TestScaleEquivariance:
-    """Times 2^k, a unit system's results are the unit results times 2^k:
-    scaling by a power of two is exact while every value stays normal, and
-    out-of-range point sets are solved at a power-of-two scale."""
+    """Times 2^k, a unit system's results are the unit results times 2^k,
+    bit for bit: scaling by a power of two is exact while every value stays
+    normal, and out-of-range point sets and distances are solved at a
+    power-of-two scale."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     @given(data=st.data())
@@ -788,12 +806,16 @@ class TestScaleEquivariance:
         unit = data.draw(_unit_systems(dim))
         k = data.draw(st.integers(-1000, 1000))
         ifs = _scaled(unit, 2.0**k)
-        ball, _ = min_ball(unit.fixed_points)
-        _assert_scaled(min_ball(ifs.fixed_points)[0], ball, k, 0)
-        base = general_bounding_ball(unit).ball
-        _assert_scaled(general_bounding_ball(ifs).ball, base, k, 2)
-        scaled_base = Ball(_point_of(np.ldexp(_coords(base.c), k).tolist()), math.ldexp(base.r, k))
-        _assert_scaled(tighten(ifs, scaled_base, 6).ball, tighten(unit, base, 6).ball, k, 2)
+        _assert_scaled(min_ball(ifs.fixed_points)[0], min_ball(unit.fixed_points)[0], k)
+        with warnings.catch_warnings():  # coincident fixed points: the harmonic center falls back
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for center in ("optimal", "arithmetic", "harmonic"):
+                _assert_scaled(general_bounding_ball(ifs, center).ball, general_bounding_ball(unit, center).ball, k)
+        base, best = best_bounding_ball(unit).ball, best_bounding_ball(ifs).ball
+        _assert_scaled(best, base, k)
+        # the slacks, not the verdict: containment_tol is not scale-free
+        assert verify_containment(ifs, best) == tuple(math.ldexp(s, k) for s in verify_containment(unit, base))
+        _assert_scaled(tighten(ifs, best, 6).ball, tighten(unit, base, 6).ball, k)
 
 
 def _hex(ball):

@@ -695,10 +695,20 @@ assert ifsbound.queries is sys.modules["ifsbound.queries"]
 assert ifsbound.render is sys.modules["ifsbound.render"]
 assert ifsbound.render.Scene is ifsbound.Scene and ifsbound.queries.Line is ifsbound.Line
 """,
-    # render annotates with queries.Line but does not import it
+    # render binds queries.Line for type checkers only, so it does not import it
     "render_alone": """
 import sys, ifsbound.render
 assert "ifsbound.queries" not in sys.modules
+""",
+    # as a type checker reads them (TYPE_CHECKING true), the Line annotations resolve
+    "type_hints": """
+import typing, numpy
+typing.TYPE_CHECKING = True
+import ifsbound.cli, ifsbound.render, ifsbound.queries
+line = ifsbound.queries.Line
+assert typing.get_type_hints(ifsbound.render.LineSegment)["line"] is line
+assert typing.get_type_hints(ifsbound.render._clip_line)["line"] is line
+assert typing.get_type_hints(ifsbound.cli._line_from_args)["return"] is line
 """,
     "unknown_name": """
 import ifsbound, ifsbound.cli
@@ -1387,3 +1397,37 @@ def test_hostile_documents_end_in_a_record_or_one_error_line(command, data):
             assert code in (1, 2) and len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
         else:
             assert command == "render"
+
+
+# the general ball beyond the float range: the smallest circle of the fixed
+# points +-1.7e308(1+i) is (radius 2.4e308), or only the radius
+# 3 * 1e308 of the points +-1e308 with phi = -0.5 is
+_GENERAL_OVERFLOW_DOCS = {
+    "circle": [{"p": [x, x], "phi": [0.5, 0]} for x in (1.7e308, -1.7e308)],
+    "radius": [{"p": [x, 0], "phi": [-0.5, 0]} for x in (1e308, -1e308)],
+}
+
+
+@pytest.mark.parametrize("doc", list(_GENERAL_OVERFLOW_DOCS))
+@pytest.mark.parametrize("argv", [["bound"], ["bound", "--method", "general"]], ids=["auto", "general"])
+def test_general_ball_overflow_is_one_error_line(doc, argv, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dimension": 2, "maps": _GENERAL_OVERFLOW_DOCS[doc]}))
+    code = main([*argv, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: floating-point overflow: the general bounding ball overflows the float range\n"
+
+
+def test_far_anchor_line_query_is_strict_json(tmp_path):
+    # an anchor at 2^600 on the unit Cantor line: its rounding allowance
+    # squared overflowed, and the record held -inf
+    path = tmp_path / "cantor.json"
+    path.write_text(json.dumps({"dimension": 2, "maps": [{"p": [x, 0], "phi": [0.5, 0]} for x in (0, 1)]}))
+    argv = ["intersect", "--input", str(path), "--line", "4.149515568880993e+180", "0", "1", "0"]
+    result = _run_python(["-W", "error", "-m", "ifsbound.cli", *argv])
+    assert result.returncode == 0 and result.stderr == ""
+    record = json.loads(result.stdout, parse_constant=lambda name: pytest.fail(name))
+    assert record["truncated"] is False and len(record["intervals"]) == 1
+    t_lo, t_hi = record["intervals"][0]
+    assert t_lo <= float("%.12g" % -(2.0**600)) <= t_hi  # the attractor at t = -2^600, as printed

@@ -105,14 +105,14 @@ def test_fixed_points_of_systems_match():
 
 
 def test_dist_3d_in_range_matches_norm():
+    # the norm at unit scale, and that norm times 2^k at 2^k: at 2^-917 the
+    # unscaled v . v underflows to 0
     rng = np.random.default_rng(11)
-    for scale in (1.0, 1e-150, 1e150, 1e-300 * 2**80):
+    for k in (0, -498, 498, -917):
         for _ in range(500):
-            a, b = rng.normal(size=3) * scale, rng.normal(size=3) * scale
-            if scale < 1e-200:  # v . v underflows to 0, the norm with it
-                assert dist(a, b) == math.hypot(*(a - b).tolist()) > 0.0
-            else:
-                assert dist(a, b) == dist_reference(a, b)
+            a, b = rng.normal(size=3), rng.normal(size=3)
+            assert dist(a, b) == dist_reference(a, b)
+            assert dist(np.ldexp(a, k), np.ldexp(b, k)) == math.ldexp(dist(a, b), k) > 0.0
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -363,23 +364,29 @@ class TestLineScale:
             pts = address_points(ifs, 3)
             anchor = pts[int(rng.integers(len(pts)))]  # an attractor point: the line hits
             u = cmath.rect(1.0, rng.uniform(0.0, math.pi)) if dim == 2 else rng.normal(size=3)
-            # 2D takes the default bound, whose circumcircles and general
-            # ball scale exactly; a 3D general radius out of range passes
-            # dist's hypot fallback, an ulp apart from sqrt(v . v)
-            bound = best_bounding_ball(ifs).ball
+            # the default bound, whose circumcircles and general balls scale exactly
             budget = 40 if i % 2 else 10**6
-            base = intersect_line(ifs, Line(anchor, u), 1e-3, bound, budget)
+            base = intersect_line(ifs, Line(anchor, u), 1e-3, budget=budget)
             assert base.intervals
             truncated.append(base.truncated)
             for k in (-700, -600, *rng.integers(-700, 901, size=3).tolist(), 600, 900):
-                bound_k = None if dim == 2 else Ball(_times(bound.c, k), _times(bound.r, k))
                 line = Line(_times(anchor, k), u)
-                got = intersect_line(_system_times(ifs, k), line, _times(1e-3, k), bound_k, budget)
+                got = intersect_line(_system_times(ifs, k), line, _times(1e-3, k), budget=budget)
                 assert got.truncated == base.truncated
                 assert got.intervals == tuple(
                     HitInterval(_times(h.t_lo, k), _times(h.t_hi, k), h.word, h.depth) for h in base.intervals
                 )
         assert any(truncated) and not all(truncated)
+
+    def test_far_anchor_on_a_unit_system(self):
+        # the anchor's rounding allowance, not the unit radius, sets the scale:
+        # at 2^600 its square overflowed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = intersect_line(cantor_ifs(), Line(2.0**600, 1), 1e-3)
+        assert result.intervals and not result.truncated
+        ends = [t for h in result.intervals for t in (h.t_lo, h.t_hi)]
+        assert all(map(math.isfinite, ends)) and covered(-(2.0**600), result.intervals)
 
 
 _BALL_3D = Ball((0.5, 0.0, 0.0), 1.0)
